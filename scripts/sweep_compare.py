@@ -11,10 +11,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from listlab import FULL, generate, run_classic, serve_amr, spec_from_dist_token
-from listlab.cli import ComparisonRow, rows_to_csv
-
-CLASSICS = ("static", "mtf", "transpose", "fc")
+from listlab import CLASSIC_ALGORITHMS, generate, spec_from_dist_token
+from listlab.cli import ComparisonRow, rows_to_csv, run_pair
 
 
 def main() -> int:
@@ -35,13 +33,9 @@ def main() -> int:
             spec = spec_from_dist_token(dist, args.list_size, args.length, seed)
             for capacity in buffers:
                 w = generate(spec, buffer_capacity=capacity)
-                breakdown, _ = serve_amr(w)
-                rows.append(ComparisonRow.from_run("amr", "amr", breakdown, w, seed=seed))
-                for algorithm in CLASSICS:
-                    breakdown, _, _ = run_classic(algorithm, FULL, w)
-                    rows.append(
-                        ComparisonRow.from_run(algorithm, "full", breakdown, w, seed=seed)
-                    )
+                for algorithm in ("amr", *CLASSIC_ALGORITHMS):
+                    model, breakdown, _ = run_pair(algorithm, None, w)
+                    rows.append(ComparisonRow.from_run(algorithm, model, breakdown, w, seed=seed))
     text = rows_to_csv(rows)
     if args.output:
         Path(args.output).write_text(text, encoding="utf-8")

@@ -11,7 +11,7 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .amr import AmrStepEvent, serve_amr
@@ -28,20 +28,6 @@ from .costs import CostBreakdown, Unsupported, model_token, parse_model_token
 from .workloads import InvalidSpec, generate, spec_from_dist_token
 
 ALGORITHM_TOKENS = CLASSIC_ALGORITHMS + ("amr",)
-
-CSV_HEADER = (
-    "algorithm",
-    "model",
-    "access",
-    "matching",
-    "replacement",
-    "exchange",
-    "total",
-    "n",
-    "l",
-    "buffer",
-    "seed",
-)
 
 
 class CliError(Exception):
@@ -90,54 +76,16 @@ class ComparisonRow:
         )
 
 
+CSV_HEADER = tuple(f.name for f in fields(ComparisonRow))
+
+
 def rows_to_csv(rows: list[ComparisonRow]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in rows:
-        writer.writerow(
-            [
-                r.algorithm,
-                r.model,
-                r.access,
-                r.matching,
-                r.replacement,
-                r.exchange,
-                r.total,
-                r.n,
-                r.l,
-                r.buffer,
-                "" if r.seed is None else r.seed,
-            ]
-        )
+    # csv writes None, the seed of a file-loaded workload, as an empty field.
+    writer.writerows([getattr(r, name) for name in CSV_HEADER] for r in rows)
     return out.getvalue()
-
-
-def rows_from_csv(text: str) -> list[ComparisonRow]:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
-    if header is None or tuple(header) != CSV_HEADER:
-        raise ValueError(f"unexpected CSV header {header!r}")
-    rows = []
-    for rec in reader:
-        if len(rec) != len(CSV_HEADER):
-            raise ValueError(f"unexpected CSV record {rec!r}")
-        rows.append(
-            ComparisonRow(
-                algorithm=rec[0],
-                model=rec[1],
-                access=int(rec[2]),
-                matching=int(rec[3]),
-                replacement=int(rec[4]),
-                exchange=int(rec[5]),
-                total=int(rec[6]),
-                n=int(rec[7]),
-                l=int(rec[8]),
-                buffer=int(rec[9]),
-                seed=None if rec[10] == "" else int(rec[10]),
-            )
-        )
-    return rows
 
 
 def _pairs(pairs) -> str:
@@ -161,10 +109,19 @@ def format_trace_line(ev: AmrStepEvent | ClassicStepEvent) -> str:
     )
 
 
+def _write(path: str, chunks) -> None:
+    """Stream text chunks to a file; a failed write is an input error."""
+    try:
+        with open(path, "w", encoding="utf-8") as out:
+            out.writelines(chunks)
+    except OSError as exc:
+        raise CliError(2, f"cannot write {path}: {exc}") from None
+
+
 def _load_workload(path: str) -> Workload:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(2, f"cannot read {path}: {exc}") from None
     try:
         w = parse_workload(text)
@@ -185,24 +142,26 @@ def _parse_model(token: str):
         raise CliError(2, str(exc)) from None
 
 
-def _execute(algorithm: str, model_tok: str | None, w: Workload):
-    """Run one (algorithm, model) pair; returns (model token, breakdown, events)."""
+def run_pair(algorithm: str, model_tok: str | None, w: Workload):
+    """Run one (algorithm, model) pair; returns (model token, breakdown, events).
+
+    Classical algorithms default to the full model. The amr engine
+    carries its own accounting, reported as model "amr". Raises
+    Unsupported for a pair that is not defined.
+    """
     if algorithm == "amr":
+        if model_tok is not None:
+            raise Unsupported("the amr engine carries its own cost model; drop --model")
         breakdown, events = serve_amr(w)
         return "amr", breakdown, events
     model = _parse_model(model_tok if model_tok is not None else "full")
-    try:
-        breakdown, events, _ = run_classic(algorithm, model, w)
-    except Unsupported as exc:
-        raise CliError(3, str(exc)) from None
+    breakdown, events, _ = run_classic(algorithm, model, w)
     return model_token(model), breakdown, events
 
 
 def cmd_run(args) -> int:
     w = _load_workload(args.workload)
-    if args.algorithm == "amr" and args.model is not None:
-        raise CliError(3, "the amr engine carries its own cost model; drop --model")
-    mtok, breakdown, events = _execute(args.algorithm, args.model, w)
+    mtok, breakdown, events = run_pair(args.algorithm, args.model, w)
     print(
         f"algorithm={args.algorithm} model={mtok} "
         f"n={w.requests.n} l={w.list.l} buffer={w.buffer_capacity}"
@@ -213,11 +172,10 @@ def cmd_run(args) -> int:
         f"total={breakdown.total}"
     )
     if args.trace:
-        lines = "".join(format_trace_line(ev) + "\n" for ev in events)
-        Path(args.trace).write_text(lines, encoding="utf-8")
+        _write(args.trace, (format_trace_line(ev) + "\n" for ev in events))
     if args.csv:
         row = ComparisonRow.from_run(args.algorithm, mtok, breakdown, w)
-        Path(args.csv).write_text(rows_to_csv([row]), encoding="utf-8")
+        _write(args.csv, [rows_to_csv([row])])
     return 0
 
 
@@ -234,23 +192,19 @@ def cmd_compare(args) -> int:
             raise CliError(2, f"unknown algorithm token {a!r}")
     rows = []
     for a in algorithms:
-        if a == "amr":
-            breakdown, _ = serve_amr(w)
-            rows.append(ComparisonRow.from_run("amr", "amr", breakdown, w))
-            continue
-        for mt in models:
-            model = _parse_model(mt)
+        # amr ignores the model list and runs once.
+        for mt in [None] if a == "amr" else models:
             try:
-                breakdown, _, _ = run_classic(a, model, w)
+                mtok, breakdown, _ = run_pair(a, mt, w)
             except Unsupported as exc:
-                print(f"skip {a} under {model_token(model)}: {exc}", file=sys.stderr)
+                print(f"skip {a} under {model_token(_parse_model(mt))}: {exc}", file=sys.stderr)
                 continue
-            rows.append(ComparisonRow.from_run(a, model_token(model), breakdown, w))
+            rows.append(ComparisonRow.from_run(a, mtok, breakdown, w))
     rows.sort(key=lambda r: (r.algorithm, r.model))
     text = rows_to_csv(rows)
     sys.stdout.write(text)
     if args.csv:
-        Path(args.csv).write_text(text, encoding="utf-8")
+        _write(args.csv, [text])
     return 0
 
 
@@ -268,7 +222,7 @@ def cmd_gen(args) -> int:
         f"seed={spec.seed} buffer={w.buffer_capacity}"
     )
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        _write(args.output, [text])
         print(echo)
         print(f"wrote {args.output}")
     else:
@@ -319,7 +273,7 @@ def run_reference_checks(checks) -> tuple[list[str], int]:
     lines = []
     passed = 0
     for c in checks:
-        _, breakdown, _ = _execute(c.algorithm, c.model, c.workload)
+        _, breakdown, _ = run_pair(c.algorithm, c.model, c.workload)
         actual = {
             "total": breakdown.total,
             "access": breakdown.access,
@@ -392,6 +346,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
+    except Unsupported as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -83,6 +83,8 @@ def _validated_length(spec: GeneratorSpec) -> int:
         raise InvalidSpec(f"unknown distribution {spec.dist!r}")
     if spec.list_size < 1:
         raise InvalidSpec(f"list size must be >= 1, got {spec.list_size}")
+    if not 0 <= spec.seed <= _MASK64:
+        raise InvalidSpec(f"seed must be in 0..{_MASK64}, got {spec.seed}")
     if spec.dist == "reverse":
         if spec.length is not None and spec.length != spec.list_size:
             raise InvalidSpec(
@@ -104,6 +106,8 @@ def _validated_length(spec: GeneratorSpec) -> int:
 def generate(spec: GeneratorSpec, buffer_capacity: int = 3) -> Workload:
     """Deterministic workload for the spec; same seed, same sequence."""
     n = _validated_length(spec)
+    if buffer_capacity < 0:
+        raise InvalidSpec(f"buffer capacity must be >= 0, got {buffer_capacity}")
     elements = list_elements(spec.list_size)
     rng = SplitMix64(spec.seed)
     if spec.dist == "reverse":

@@ -1,10 +1,13 @@
-"""Shared hypothesis strategies and small workload builders."""
+"""Shared hypothesis strategies, small workload builders and a CSV reader."""
 
+import csv
+import io
 import string
 
 from hypothesis import strategies as st
 
 from listlab import make_workload
+from listlab.cli import CSV_HEADER, ComparisonRow
 from listlab.workloads import list_elements
 
 TOKEN_CHARS = string.ascii_uppercase + string.ascii_lowercase + string.digits + "_-.@"
@@ -31,3 +34,22 @@ def text_workloads(draw):
     idxs = draw(st.lists(st.integers(0, len(elements) - 1), max_size=12))
     capacity = draw(st.integers(0, 9))
     return make_workload(elements, (elements[i] for i in idxs), capacity)
+
+
+def rows_from_csv(text: str) -> list[ComparisonRow]:
+    """Parse the CLI's CSV table back into rows; an empty seed is None."""
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader, None)
+    if header is None or tuple(header) != CSV_HEADER:
+        raise ValueError(f"unexpected CSV header {header!r}")
+    rows = []
+    for rec in reader:
+        if len(rec) != len(CSV_HEADER):
+            raise ValueError(f"unexpected CSV record {rec!r}")
+        algorithm, model, *counts, seed = rec
+        rows.append(
+            ComparisonRow(
+                algorithm, model, *map(int, counts), seed=None if seed == "" else int(seed)
+            )
+        )
+    return rows

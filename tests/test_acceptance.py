@@ -15,9 +15,10 @@ from listlab import (
     run_classic,
     serve_amr,
 )
-from listlab.cli import main, rows_from_csv
+from listlab.cli import main
 from listlab.workloads import list_elements
 from oracles import matchless, replay_amr_trace
+from support import rows_from_csv
 
 NINE = tuple("A B C D E F G H I".split())
 

@@ -7,11 +7,11 @@ from listlab.cli import (
     ReferenceCheck,
     builtin_reference_checks,
     main,
-    rows_from_csv,
     rows_to_csv,
     run_reference_checks,
 )
 from oracles import static_full_total
+from support import rows_from_csv
 
 DEMO = "list: A B C D E F G H I\nbuffer: 3\nrequests: I E G D I E D B A I\n"
 ILLU = "list: A B C D E F G H I\nbuffer: 3\nrequests: I E G D I E D A B I\n"
@@ -243,6 +243,17 @@ def test_gen_buffer_flag(tmp_path):
     assert "buffer: 9\n" in out_path.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "extra", [["--buffer", "-2"], ["--seed", "-1"], ["--seed", str(2**64)]]
+)
+def test_gen_rejects_out_of_range_values(extra, tmp_path, capsys):
+    out_path = tmp_path / "w.workload"
+    argv = ["gen", "--dist", "uniform", "--list-size", "4", "--length", "8", "-o", str(out_path)]
+    assert main(argv + extra) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out_path.exists()
+
+
 def test_gen_output_parses_back(tmp_path, capsys):
     out_path = tmp_path / "z.workload"
     main(["gen", "--dist", "zipf:1.2", "--list-size", "8", "--length", "50", "--seed", "5", "-o", str(out_path)])
@@ -293,6 +304,30 @@ def test_corrupted_builtin_checks_exit_nonzero(monkeypatch, capsys):
     monkeypatch.setattr("listlab.cli.builtin_reference_checks", lambda: (corrupted,))
     assert main(["paper-examples"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+# --- unreadable input, unwritable output ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--workload", "{latin1}", "--algorithm", "amr"],
+        ["compare", "--workload", "{latin1}", "--algorithm", "mtf"],
+        ["run", "--workload", "{demo}", "--algorithm", "amr", "--trace", "{nodir}"],
+        ["run", "--workload", "{demo}", "--algorithm", "amr", "--csv", "{nodir}"],
+        ["compare", "--workload", "{demo}", "--algorithm", "amr", "--csv", "{nodir}"],
+        ["gen", "--dist", "reverse", "--list-size", "3", "-o", "{nodir}"],
+    ],
+    ids=["run-not-utf8", "compare-not-utf8", "run-trace", "run-csv", "compare-csv", "gen-o"],
+)
+def test_io_failure_is_one_error_line_and_exit_two(argv, demo_path, tmp_path, capsys):
+    latin1 = tmp_path / "latin1.workload"
+    latin1.write_bytes("list: \xc4 B\nbuffer: 1\nrequests: B\n".encode("latin-1"))
+    paths = {"demo": demo_path, "latin1": latin1, "nodir": tmp_path / "missing" / "out"}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # --- CSV round trip ----------------------------------------------------------

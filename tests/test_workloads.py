@@ -113,6 +113,12 @@ def test_generate_rejects_bad_specs():
         generate(GeneratorSpec("burst", list_size=3, length=5, run_length=0))
     with pytest.raises(InvalidSpec):
         generate(GeneratorSpec("bogus", list_size=3, length=5))
+    with pytest.raises(InvalidSpec):
+        generate(GeneratorSpec("uniform", list_size=3, length=5, seed=-1))
+    with pytest.raises(InvalidSpec):
+        generate(GeneratorSpec("uniform", list_size=3, length=5, seed=2**64))
+    with pytest.raises(InvalidSpec):
+        generate(GeneratorSpec("uniform", list_size=3, length=5), buffer_capacity=-1)
 
 
 def test_dist_token_parsing():
@@ -122,6 +128,7 @@ def test_dist_token_parsing():
     assert spec.run_length == 4
     assert spec_from_dist_token("uniform", 4, 10, 0).dist == "uniform"
     assert spec_from_dist_token("reverse", 4, None, 0).length is None
+    assert spec_from_dist_token("uniform", 4, 10, 2**64 - 1).seed == 2**64 - 1
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,7 @@ on a single generated workload, next to the static/full baseline.
 import argparse
 import sys
 
-from listlab import FULL, generate, run_classic, serve_amr, spec_from_dist_token
+from listlab import FULL, InvalidSpec, generate, run_classic, serve_amr, spec_from_dist_token
 
 
 def main() -> int:
@@ -18,7 +18,11 @@ def main() -> int:
     ap.add_argument("--max-buffer", type=int, default=8)
     args = ap.parse_args()
 
-    spec = spec_from_dist_token(args.dist, args.list_size, args.length, args.seed)
+    try:
+        spec = spec_from_dist_token(args.dist, args.list_size, args.length, args.seed)
+    except InvalidSpec as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     baseline, _, _ = run_classic("static", FULL, generate(spec, buffer_capacity=0))
     print(f"# dist={args.dist} list-size={args.list_size} length={args.length} seed={args.seed}")
     print(f"# static/full baseline total={baseline.total}")

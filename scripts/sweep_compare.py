@@ -26,19 +26,33 @@ def main() -> int:
     ap.add_argument("-o", "--output", help="CSV path (default: stdout)")
     args = ap.parse_args()
 
-    buffers = [int(tok) for tok in args.buffers.split(",") if tok]
+    try:
+        buffers = [int(tok) for tok in args.buffers.split(",") if tok]
+        if any(capacity < 0 for capacity in buffers):
+            raise ValueError(f"buffer capacities must be >= 0, got {args.buffers!r}")
+        specs = [
+            (seed, spec_from_dist_token(dist, args.list_size, args.length, seed))
+            for dist in args.dists.split(",")
+            if dist
+            for seed in range(args.seeds)
+        ]
+    except ValueError as exc:  # InvalidSpec included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     rows = []
-    for dist in [tok for tok in args.dists.split(",") if tok]:
-        for seed in range(args.seeds):
-            spec = spec_from_dist_token(dist, args.list_size, args.length, seed)
-            for capacity in buffers:
-                w = generate(spec, buffer_capacity=capacity)
-                for algorithm in ("amr", *CLASSIC_ALGORITHMS):
-                    model, breakdown, _ = run_pair(algorithm, None, w)
-                    rows.append(ComparisonRow.from_run(algorithm, model, breakdown, w, seed=seed))
+    for seed, spec in specs:
+        for capacity in buffers:
+            w = generate(spec, buffer_capacity=capacity)
+            for algorithm in ("amr", *CLASSIC_ALGORITHMS):
+                model, breakdown, _ = run_pair(algorithm, None, w)
+                rows.append(ComparisonRow.from_run(algorithm, model, breakdown, w, seed=seed))
     text = rows_to_csv(rows)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        try:
+            Path(args.output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {len(rows)} rows to {args.output}", file=sys.stderr)
     else:
         sys.stdout.write(text)

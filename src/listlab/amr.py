@@ -44,8 +44,10 @@ class Buffer:
     """Fixed-capacity slotted store with FIFO eviction.
 
     Slots are numbered from 1 and a resident element is served at a cost
-    equal to its slot number. When full, the entry with the oldest
-    insertion is evicted and the newcomer takes over its slot, so slot
+    equal to its slot number. Slots are never freed, so they fill as
+    1..capacity in order; after that the oldest entry always sits in the
+    slot after the newest one, and FIFO eviction visits the slots
+    round-robin. The newcomer takes over the evicted slot, so slot
     numbers of the surviving entries never shift.
     """
 
@@ -53,38 +55,31 @@ class Buffer:
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self.slots: list[tuple[str, int] | None] = [None] * capacity
-        self._next_seq = 1
+        self.slots: list[str] = []
+        self.resident: dict[str, int] = {}
+        self._cursor = 0  # slot index of the oldest entry once full
 
     def slot_of(self, element: str) -> int | None:
-        for idx, entry in enumerate(self.slots):
-            if entry is not None and entry[0] == element:
-                return idx + 1
-        return None
-
-    def occupants(self) -> set[str]:
-        return {entry[0] for entry in self.slots if entry is not None}
-
-    def occupancy(self) -> int:
-        return sum(entry is not None for entry in self.slots)
+        return self.resident.get(element)
 
     def place(self, element: str) -> tuple[int, tuple[int, str] | None]:
-        """Insert into the lowest free slot, evicting FIFO when full.
+        """Insert into the next free slot, evicting FIFO when full.
 
         Returns (slot, evicted) where evicted is (slot, element) of the
         removed entry or None. Callers must cap the insertion batch to
         the capacity first; capacity 0 never reaches here.
         """
-        for idx, entry in enumerate(self.slots):
-            if entry is None:
-                self.slots[idx] = (element, self._next_seq)
-                self._next_seq += 1
-                return idx + 1, None
-        idx = min(range(self.capacity), key=lambda j: self.slots[j][1])
-        evicted = (idx + 1, self.slots[idx][0])
-        self.slots[idx] = (element, self._next_seq)
-        self._next_seq += 1
-        return idx + 1, evicted
+        if len(self.slots) < self.capacity:
+            self.slots.append(element)
+            slot, evicted = len(self.slots), None
+        else:
+            slot = self._cursor + 1
+            evicted = (slot, self.slots[slot - 1])
+            del self.resident[evicted[1]]
+            self.slots[slot - 1] = element
+            self._cursor = slot % self.capacity
+        self.resident[element] = slot
+        return slot, evicted
 
 
 def match_parallel(
@@ -111,21 +106,18 @@ def buffer_insert(
 ) -> tuple[list[tuple[int, str]], list[tuple[int, str]], int]:
     """Store matched elements, preferring higher list positions on overflow.
 
-    Candidates already resident are dropped first (no cost). If more
-    remain than the total capacity, only the `capacity` candidates with
-    the largest list positions are kept. Survivors are inserted in
-    increasing list-position order via Buffer.place.
+    Candidates already resident are dropped first (no cost). Candidates
+    arrive in increasing list position, as match_parallel returns them,
+    so when more remain than the total capacity the last `capacity` of
+    them are the ones with the largest list positions and are kept.
+    Survivors are inserted in that order via Buffer.place.
 
     Returns (inserted, evicted, replacement_count) where inserted and
     evicted are (slot, element) pairs and replacement_count counts
     evictions of pre-existing entries.
     """
-    resident = buffer.occupants()
-    fresh = [(k, e) for k, e in candidates if e not in resident]
-    if len(fresh) > buffer.capacity:
-        keep = sorted(fresh, key=lambda ke: ke[0], reverse=True)[: buffer.capacity]
-        kept_ks = {k for k, _ in keep}
-        fresh = [(k, e) for k, e in fresh if k in kept_ks]
+    fresh = [(k, e) for k, e in candidates if e not in buffer.resident]
+    fresh = fresh[max(0, len(fresh) - buffer.capacity) :]
     inserted: list[tuple[int, str]] = []
     evicted: list[tuple[int, str]] = []
     for _, e in fresh:
@@ -145,10 +137,9 @@ def set_flags(
     the positions scanned into the table this step; re-flagging an
     already flagged position is a no-op on the table but still reported.
     """
-    resident = buffer.occupants()
     touched: list[int] = []
     for j in window.positions():
-        if requests.requests[j - 1] in resident:
+        if requests.requests[j - 1] in buffer.resident:
             flags.add(j)
             touched.append(j)
     return touched
@@ -188,6 +179,7 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, list[AmrStepEvent]]:
     for t in range(1, requests.n + 1):
         x = requests.requests[t - 1]
         slot = buffer.slot_of(x) if t in flags else None
+        flags.discard(t)  # flags only ever hold positions after t
         if slot is not None:
             access += slot
             trace.append(AmrStepEvent(t, x, "buffer", slot, slot))

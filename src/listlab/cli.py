@@ -179,14 +179,18 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _split_tokens(raw: str) -> list[str]:
-    return [tok for tok in raw.split(",") if tok]
+def _split_tokens(raw: str, what: str) -> list[str]:
+    """Comma-separated tokens; "" is no tokens, but "," is an error."""
+    tokens = [tok for tok in raw.split(",") if tok]
+    if raw and not tokens:
+        raise CliError(2, f"--{what} {raw!r} names no token")
+    return tokens
 
 
 def cmd_compare(args) -> int:
     w = _load_workload(args.workload)
-    algorithms = _split_tokens(args.algorithm)
-    models = _split_tokens(args.model) if args.model else ["full"]
+    algorithms = _split_tokens(args.algorithm, "algorithm")
+    models = _split_tokens(args.model, "model") if args.model else ["full"]
     for a in algorithms:
         if a not in ALGORITHM_TOKENS:
             raise CliError(2, f"unknown algorithm token {a!r}")

@@ -1,7 +1,8 @@
 import itertools
+import tracemalloc
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from listlab import (
     FULL,
@@ -245,6 +246,27 @@ def test_zero_capacity_degenerates_to_static_plus_matching(w):
 @given(w=workloads())
 def test_serve_amr_is_deterministic(w):
     assert serve_amr(w) == serve_amr(w)
+
+
+@given(w=workloads(), extra=st.integers(1, 10**6))
+def test_capacity_beyond_list_size_changes_nothing(w, extra):
+    # at most l distinct elements can ever be resident
+    elements, requests = w.list.elements, w.requests.requests
+    capped = serve_amr(make_workload(elements, requests, w.list.l))
+    assert serve_amr(make_workload(elements, requests, w.list.l + extra)) == capped
+
+
+def test_huge_capacity_allocates_nothing_per_slot():
+    elements, requests = "A B C".split(), "C A B C A".split()
+    w = make_workload(elements, requests, 10**7)
+    tracemalloc.start()
+    try:
+        breakdown, trace = serve_amr(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (breakdown, trace) == serve_amr(make_workload(elements, requests, 3))
 
 
 def test_buffer_rejects_negative_capacity():

@@ -152,3 +152,14 @@ def test_pd_exchange_equals_d_times_transpositions(w, d):
     assert charged.exchange == d * moves
     assert charged.access == base.access
     assert [ev.transpositions for ev in trace] == [ev.transpositions for ev in base_trace]
+
+
+@pytest.mark.parametrize("algorithm", ["static", "transpose", "fc"])
+@given(w=workloads())
+def test_mtf_within_sleator_tarjan_bound(algorithm, w):
+    # C_MTF <= 2*C_A - F_A - n under full, F_A = A's free transpositions
+    # (Sleator & Tarjan, CACM 1985); these algorithms make no paid ones.
+    mtf, _, _ = run_classic("mtf", FULL, w)
+    breakdown, events, _ = run_classic(algorithm, FULL, w)
+    free = sum(ev.transpositions for ev in events)
+    assert mtf.total <= 2 * breakdown.total - free - w.requests.n

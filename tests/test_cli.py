@@ -179,6 +179,15 @@ def test_compare_empty_algorithm_list(demo_path, capsys):
     assert rows_from_csv(out) == []
 
 
+@pytest.mark.parametrize("flag", ["--algorithm", "--model"])
+def test_compare_rejects_a_token_list_that_names_nothing(flag, demo_path, capsys):
+    argv = ["compare", "--workload", demo_path, "--algorithm", "static", flag, ","]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_compare_unknown_algorithm(demo_path, capsys):
     assert main(["compare", "--workload", demo_path, "--algorithm", "opt"]) == 2
 

@@ -34,6 +34,8 @@ CASES = {
         "--algorithm", "static,mtf,transpose,fc,amr",
         "--model", "full,partial,pd:2,centralized",
     ],
+    # all three totals, checked against the built-in table
+    "paper-examples": ["paper-examples"],
 }
 
 

@@ -6,6 +6,33 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_script(script, *args):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+
+
+# Each case's stdout is recorded as golden/<case>.stdout.
+GOLDEN_CASES = {
+    "sweep-compare": ["sweep_compare.py", "--seeds", "2", "--buffers", "1,3"],
+    "buffer-sensitivity": ["buffer_sensitivity.py"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CASES))
+def test_script_output_matches_golden_bytes(case):
+    proc = run_script(*GOLDEN_CASES[case])
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.encode() == (GOLDEN / f"{case}.stdout").read_bytes()
 
 
 @pytest.mark.parametrize(
@@ -23,13 +50,6 @@ ROOT = Path(__file__).resolve().parent.parent
 def test_bad_input_is_one_error_line_and_exit_two(argv, tmp_path):
     script, *args = argv
     args = [arg.format(nodir=tmp_path / "missing" / "x.csv") for arg in args]
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    proc = run_script(script, *args)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -9,10 +9,11 @@ model; the buffered engine uses its own accounting.
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from listlab import CLASSIC_ALGORITHMS, generate, spec_from_dist_token
-from listlab.cli import ComparisonRow, rows_to_csv, run_pair
+from listlab.cli import CliError, ComparisonRow, rows_to_csv, run_pair, split_tokens
 
 
 def main() -> int:
@@ -27,25 +28,28 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
-        buffers = [int(tok) for tok in args.buffers.split(",") if tok]
+        buffers = [int(tok) for tok in split_tokens(args.buffers, "buffers")]
         if any(capacity < 0 for capacity in buffers):
             raise ValueError(f"buffer capacities must be >= 0, got {args.buffers!r}")
+        # One validated spec per distribution; seeds only vary the stream.
         specs = [
-            (seed, spec_from_dist_token(dist, args.list_size, args.length, seed))
-            for dist in args.dists.split(",")
-            if dist
-            for seed in range(args.seeds)
+            spec_from_dist_token(dist, args.list_size, args.length, seed=0)
+            for dist in split_tokens(args.dists, "dists")
         ]
-    except ValueError as exc:  # InvalidSpec included
+        if args.seeds < 1:
+            raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
+    except (CliError, ValueError) as exc:  # InvalidSpec included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     rows = []
-    for seed, spec in specs:
-        for capacity in buffers:
-            w = generate(spec, buffer_capacity=capacity)
-            for algorithm in ("amr", *CLASSIC_ALGORITHMS):
-                model, breakdown, _ = run_pair(algorithm, None, w)
-                rows.append(ComparisonRow.from_run(algorithm, model, breakdown, w, seed=seed))
+    for base in specs:
+        for seed in range(args.seeds):
+            spec = replace(base, seed=seed)
+            for capacity in buffers:
+                w = generate(spec, buffer_capacity=capacity)
+                for algorithm in ("amr", *CLASSIC_ALGORITHMS):
+                    model, breakdown, _ = run_pair(algorithm, None, w)
+                    rows.append(ComparisonRow.from_run(algorithm, model, breakdown, w, seed=seed))
     text = rows_to_csv(rows)
     if args.output:
         try:

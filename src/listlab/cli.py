@@ -24,7 +24,7 @@ from .core import (
     serialize_workload,
     validate_workload,
 )
-from .costs import CostBreakdown, Unsupported, model_token, parse_model_token
+from .costs import FULL, CostBreakdown, CostModel, Unsupported, model_token, parse_model_token
 from .workloads import InvalidSpec, generate, spec_from_dist_token
 
 ALGORITHM_TOKENS = CLASSIC_ALGORITHMS + ("amr",)
@@ -135,33 +135,34 @@ def _load_workload(path: str) -> Workload:
     return w
 
 
-def _parse_model(token: str):
+def _parse_model(token: str) -> CostModel:
     try:
         return parse_model_token(token)
     except ValueError as exc:
         raise CliError(2, str(exc)) from None
 
 
-def run_pair(algorithm: str, model_tok: str | None, w: Workload):
+def run_pair(algorithm: str, model: CostModel | None, w: Workload):
     """Run one (algorithm, model) pair; returns (model token, breakdown, events).
 
-    Classical algorithms default to the full model. The amr engine
-    carries its own accounting, reported as model "amr". Raises
-    Unsupported for a pair that is not defined.
+    A model of None means the amr engine's own accounting, reported as
+    model "amr", or the full model for a classical algorithm. Raises
+    Unsupported for a pair that is not defined, such as amr with a model.
     """
     if algorithm == "amr":
-        if model_tok is not None:
+        if model is not None:
             raise Unsupported("the amr engine carries its own cost model; drop --model")
         breakdown, events = serve_amr(w)
         return "amr", breakdown, events
-    model = _parse_model(model_tok if model_tok is not None else "full")
+    model = FULL if model is None else model
     breakdown, events, _ = run_classic(algorithm, model, w)
     return model_token(model), breakdown, events
 
 
 def cmd_run(args) -> int:
+    model = None if args.model is None else _parse_model(args.model)
     w = _load_workload(args.workload)
-    mtok, breakdown, events = run_pair(args.algorithm, args.model, w)
+    mtok, breakdown, events = run_pair(args.algorithm, model, w)
     print(
         f"algorithm={args.algorithm} model={mtok} "
         f"n={w.requests.n} l={w.list.l} buffer={w.buffer_capacity}"
@@ -179,29 +180,29 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _split_tokens(raw: str, what: str) -> list[str]:
-    """Comma-separated tokens; "" is no tokens, but "," is an error."""
+def split_tokens(raw: str, what: str) -> list[str]:
+    """Comma-separated tokens; a value that names none, "" or ",", is an error."""
     tokens = [tok for tok in raw.split(",") if tok]
-    if raw and not tokens:
+    if not tokens:
         raise CliError(2, f"--{what} {raw!r} names no token")
     return tokens
 
 
 def cmd_compare(args) -> int:
-    w = _load_workload(args.workload)
-    algorithms = _split_tokens(args.algorithm, "algorithm")
-    models = _split_tokens(args.model, "model") if args.model else ["full"]
+    algorithms = split_tokens(args.algorithm, "algorithm")
     for a in algorithms:
         if a not in ALGORITHM_TOKENS:
             raise CliError(2, f"unknown algorithm token {a!r}")
+    models = [_parse_model(tok) for tok in split_tokens(args.model, "model")]
+    w = _load_workload(args.workload)
     rows = []
     for a in algorithms:
         # amr ignores the model list and runs once.
-        for mt in [None] if a == "amr" else models:
+        for model in [None] if a == "amr" else models:
             try:
-                mtok, breakdown, _ = run_pair(a, mt, w)
+                mtok, breakdown, _ = run_pair(a, model, w)
             except Unsupported as exc:
-                print(f"skip {a} under {model_token(_parse_model(mt))}: {exc}", file=sys.stderr)
+                print(f"skip {a} under {model_token(model)}: {exc}", file=sys.stderr)
                 continue
             rows.append(ComparisonRow.from_run(a, mtok, breakdown, w))
     rows.sort(key=lambda r: (r.algorithm, r.model))
@@ -235,72 +236,30 @@ def cmd_gen(args) -> int:
     return 0
 
 
-@dataclass(frozen=True)
-class ReferenceCheck:
-    """A built-in workload with its known cost expectations."""
-
-    name: str
-    workload: Workload
-    algorithm: str
-    model: str | None
-    expected: dict[str, int]
-
-
-def builtin_reference_checks() -> tuple[ReferenceCheck, ...]:
-    nine = "A B C D E F G H I".split()
-    return (
-        ReferenceCheck(
-            "lookahead-illustration",
-            make_workload(nine, "I E G D I E D A B I".split(), 3),
-            "amr",
-            None,
-            {"total": 34, "access": 31, "matching": 3, "replacement": 0},
-        ),
-        ReferenceCheck(
-            "lookahead-demonstration",
-            make_workload(nine, "I E G D I E D B A I".split(), 3),
-            "amr",
-            None,
-            {"total": 36, "access": 31, "matching": 4, "replacement": 1},
-        ),
-        ReferenceCheck(
-            "reverse-order-mtf",
-            make_workload(list("ABCDEFGHIJK"), list("KJIHGFEDCBA"), 3),
-            "mtf",
-            "full",
-            {"total": 121},
-        ),
-    )
-
-
-def run_reference_checks(checks) -> tuple[list[str], int]:
-    lines = []
-    passed = 0
-    for c in checks:
-        _, breakdown, _ = run_pair(c.algorithm, c.model, c.workload)
-        actual = {
-            "total": breakdown.total,
-            "access": breakdown.access,
-            "matching": breakdown.matching,
-            "replacement": breakdown.replacement,
-            "exchange": breakdown.exchange,
-        }
-        ok = all(actual[key] == want for key, want in c.expected.items())
-        detail = ", ".join(
-            f"{key} expected={want} actual={actual[key]}" for key, want in c.expected.items()
-        )
-        lines.append(f"{c.name} [{c.algorithm}]: {'PASS' if ok else 'FAIL'} ({detail})")
-        passed += ok
-    return lines, passed
+# The paper's worked examples: name, workload, algorithm (a classical
+# one runs under the full model) and the breakdown fields it must match.
+PAPER_EXAMPLES = (
+    ("lookahead-illustration", make_workload("ABCDEFGHI", "IEGDIEDABI", 3), "amr",
+     {"total": 34, "access": 31, "matching": 3, "replacement": 0}),
+    ("lookahead-demonstration", make_workload("ABCDEFGHI", "IEGDIEDBAI", 3), "amr",
+     {"total": 36, "access": 31, "matching": 4, "replacement": 1}),
+    ("reverse-order-mtf", make_workload("ABCDEFGHIJK", "KJIHGFEDCBA", 3), "mtf",
+     {"total": 121}),
+)
 
 
 def cmd_paper_examples(args) -> int:
-    checks = builtin_reference_checks()
-    lines, passed = run_reference_checks(checks)
-    for line in lines:
-        print(line)
-    print(f"{passed}/{len(checks)} pass")
-    return 0 if passed == len(checks) else 1
+    passed = 0
+    for name, w, algorithm, expected in PAPER_EXAMPLES:
+        _, breakdown, _ = run_pair(algorithm, None, w)
+        actual = {key: getattr(breakdown, key) for key in expected}
+        detail = ", ".join(f"{key} expected={want} actual={actual[key]}"
+                           for key, want in expected.items())
+        ok = actual == expected
+        print(f"{name} [{algorithm}]: {'PASS' if ok else 'FAIL'} ({detail})")
+        passed += ok
+    print(f"{passed}/{len(PAPER_EXAMPLES)} pass")
+    return 0 if passed == len(PAPER_EXAMPLES) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -321,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run several algorithm/model pairs and tabulate")
     p.add_argument("--workload", required=True)
     p.add_argument("--algorithm", required=True, help="comma-separated algorithm tokens")
-    p.add_argument("--model", help="comma-separated model tokens (default: full)")
+    p.add_argument("--model", default="full", help="comma-separated model tokens (default: full)")
     p.add_argument("--csv", help="also write the table to this file")
     p.set_defaults(func=cmd_compare)
 

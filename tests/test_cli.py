@@ -2,14 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from listlab import serialize_workload
-from listlab.cli import (
-    ComparisonRow,
-    ReferenceCheck,
-    builtin_reference_checks,
-    main,
-    rows_to_csv,
-    run_reference_checks,
-)
+from listlab.cli import PAPER_EXAMPLES, ComparisonRow, main, rows_to_csv
 from oracles import static_full_total
 from support import rows_from_csv
 
@@ -173,10 +166,13 @@ def test_compare_skips_unsupported_pairs(demo_path, capsys):
     assert "skip mtf under centralized" in captured.err
 
 
-def test_compare_empty_algorithm_list(demo_path, capsys):
-    assert main(["compare", "--workload", demo_path, "--algorithm", ""]) == 0
-    out = capsys.readouterr().out
-    assert rows_from_csv(out) == []
+@pytest.mark.parametrize("flag", ["--algorithm", "--model"])
+def test_compare_rejects_an_empty_token_list(flag, demo_path, capsys):
+    argv = ["compare", "--workload", demo_path, "--algorithm", "static", flag, ""]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} '' names no token\n"
 
 
 @pytest.mark.parametrize("flag", ["--algorithm", "--model"])
@@ -194,6 +190,15 @@ def test_compare_unknown_algorithm(demo_path, capsys):
 
 def test_compare_unknown_model(demo_path, capsys):
     assert main(["compare", "--workload", demo_path, "--algorithm", "mtf", "--model", "bogus"]) == 2
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_bad_model_token_is_rejected_before_any_run(command, demo_path, capsys):
+    argv = [command, "--workload", demo_path, "--algorithm", "amr", "--model", "bogus"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_compare_amr_ignores_model_list(demo_path, capsys):
@@ -286,33 +291,28 @@ def test_reference_checks_pass(capsys):
     assert "reverse-order-mtf [mtf]: PASS" in out
 
 
-def test_reference_checks_report_mismatch():
-    base = builtin_reference_checks()[0]
-    corrupted = ReferenceCheck(
-        name=base.name,
-        workload=base.workload,
-        algorithm=base.algorithm,
-        model=base.model,
-        expected={"total": 999},
-    )
-    lines, passed = run_reference_checks([corrupted])
-    assert passed == 0
-    assert "FAIL" in lines[0]
-    assert "expected=999 actual=34" in lines[0]
+def corrupt_total(example):
+    name, workload, algorithm, _ = example
+    return name, workload, algorithm, {"total": 999}
+
+
+def test_reference_checks_report_mismatch(monkeypatch, capsys):
+    monkeypatch.setattr("listlab.cli.PAPER_EXAMPLES", (corrupt_total(PAPER_EXAMPLES[0]),))
+    assert main(["paper-examples"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "lookahead-illustration [amr]: FAIL (total expected=999 actual=34)",
+        "0/1 pass",
+    ]
 
 
 def test_corrupted_builtin_checks_exit_nonzero(monkeypatch, capsys):
-    base = builtin_reference_checks()[0]
-    corrupted = ReferenceCheck(
-        name=base.name,
-        workload=base.workload,
-        algorithm=base.algorithm,
-        model=base.model,
-        expected={"total": 999},
-    )
-    monkeypatch.setattr("listlab.cli.builtin_reference_checks", lambda: (corrupted,))
+    corrupted = (*PAPER_EXAMPLES[:2], corrupt_total(PAPER_EXAMPLES[2]))
+    monkeypatch.setattr("listlab.cli.PAPER_EXAMPLES", corrupted)
     assert main(["paper-examples"]) == 1
-    assert "FAIL" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "reverse-order-mtf [mtf]: FAIL (total expected=999 actual=121)" in out
+    assert out.endswith("2/3 pass\n")
 
 
 # --- unreadable input, unwritable output ------------------------------------

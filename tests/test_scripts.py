@@ -43,9 +43,14 @@ def test_script_output_matches_golden_bytes(case):
         ["sweep_compare.py", "--list-size", "0"],
         ["sweep_compare.py", "--seeds", "1", "-o", "{nodir}"],
         ["buffer_sensitivity.py", "--dist", "bogus"],
+        ["sweep_compare.py", "--list-size", "0", "--seeds", "0"],
+        ["sweep_compare.py", "--seeds", "0"],
+        ["sweep_compare.py", "--dists", ""],
+        ["sweep_compare.py", "--buffers", ""],
     ],
     ids=["sweep-buffers", "sweep-negative-buffer", "sweep-list-size", "sweep-output",
-         "sensitivity-dist"],
+         "sensitivity-dist", "sweep-list-size-no-seeds", "sweep-no-seeds", "sweep-no-dists",
+         "sweep-no-buffers"],
 )
 def test_bad_input_is_one_error_line_and_exit_two(argv, tmp_path):
     script, *args = argv

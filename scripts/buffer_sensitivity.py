@@ -5,6 +5,7 @@ on a single generated workload, next to the static/full baseline.
 
 import argparse
 import sys
+from dataclasses import replace
 
 from listlab import FULL, InvalidSpec, generate, run_classic, serve_amr, spec_from_dist_token
 
@@ -23,13 +24,15 @@ def main() -> int:
     except InvalidSpec as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    baseline, _, _ = run_classic("static", FULL, generate(spec, buffer_capacity=0))
+    # Every capacity shares one list and request sequence, and with them
+    # the indices the amr engine caches on them.
+    generated = generate(spec, buffer_capacity=0)
+    baseline, _, _ = run_classic("static", FULL, generated)
     print(f"# dist={args.dist} list-size={args.list_size} length={args.length} seed={args.seed}")
     print(f"# static/full baseline total={baseline.total}")
     print("buffer\taccess\tmatching\treplacement\ttotal")
     for capacity in range(args.max_buffer + 1):
-        w = generate(spec, buffer_capacity=capacity)
-        b, _ = serve_amr(w)
+        b, _ = serve_amr(replace(generated, buffer_capacity=capacity))
         print(f"{capacity}\t{b.access}\t{b.matching}\t{b.replacement}\t{b.total}")
     return 0
 

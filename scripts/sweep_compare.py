@@ -44,9 +44,11 @@ def main() -> int:
     rows = []
     for base in specs:
         for seed in range(args.seeds):
-            spec = replace(base, seed=seed)
+            # One list and request sequence per seed: every capacity shares
+            # them, and with them the indices the amr engine caches on them.
+            generated = generate(replace(base, seed=seed))
             for capacity in buffers:
-                w = generate(spec, buffer_capacity=capacity)
+                w = replace(generated, buffer_capacity=capacity)
                 for algorithm in ("amr", *CLASSIC_ALGORITHMS):
                     model, breakdown, _ = run_pair(algorithm, None, w)
                     rows.append(ComparisonRow.from_run(algorithm, model, breakdown, w, seed=seed))

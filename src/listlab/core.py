@@ -7,6 +7,7 @@ position 1, the first request has position 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 
 class NotInList(LookupError):
@@ -40,6 +41,13 @@ class ListConfig:
     def l(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Element -> 1-based position; the first occurrence wins, as with
+        tuple.index. Built on first use and shared by every caller, so
+        it must not be mutated; it never enters == or hash()."""
+        return dict(zip(reversed(self.elements), range(self.l, 0, -1)))
+
 
 @dataclass(frozen=True)
 class RequestSequence:
@@ -48,6 +56,39 @@ class RequestSequence:
     @property
     def n(self) -> int:
         return len(self.requests)
+
+    @cached_property
+    def occurrences(self) -> dict[str, list[int]]:
+        """Element -> its request positions (1-based), increasing.
+
+        Built on first use and shared like ListConfig.positions."""
+        occ: dict[str, list[int]] = {}
+        for j, r in enumerate(self.requests, start=1):
+            occ.setdefault(r, []).append(j)
+        return occ
+
+    def diagonals(self, lst: ListConfig) -> dict[int, list[tuple[int, str]]]:
+        """Request j bucketed by t = j - pos(r_j), for t >= 1, as (pos, r_j).
+
+        List element k equals request t+k exactly when request t+k has
+        position k, so bucket t holds every positional match at step t,
+        in increasing k. Requests not in the list are left out. The table
+        depends on the list too, so it is cached together with the list
+        object it was built from and rebuilt for any other list.
+        """
+        cached = self.__dict__.get("_diagonals")
+        if cached is not None and cached[0] is lst:
+            return cached[1]
+        pos = lst.positions
+        table: dict[int, list[tuple[int, str]]] = {}
+        for j, r in enumerate(self.requests, start=1):
+            k = pos.get(r)
+            if k is not None and k < j:
+                table.setdefault(j - k, []).append((k, r))
+        # Frozen dataclass: write the cache slot past __setattr__, as
+        # cached_property does.
+        self.__dict__["_diagonals"] = (lst, table)
+        return table
 
 
 @dataclass(frozen=True)
@@ -67,8 +108,8 @@ def make_workload(elements, requests, buffer_capacity: int) -> Workload:
 def position(lst: ListConfig, x: str) -> int:
     """1-based position of x in the list; raises NotInList when absent."""
     try:
-        return lst.elements.index(x) + 1
-    except ValueError:
+        return lst.positions[x]
+    except KeyError:
         raise NotInList(x) from None
 
 

@@ -7,6 +7,8 @@ number.
 
 from itertools import combinations
 
+from listlab import AmrStepEvent, CostBreakdown
+
 
 def static_full_total(elements, requests):
     """Sum of fixed list positions, full model, no rearrangement."""
@@ -36,6 +38,64 @@ def positional_matches(elements, requests, t):
         for k in range(1, limit + 1)
         if elements[k - 1] == requests[t + k - 1]
     ]
+
+
+def flagged_positions(requests, start, end, resident):
+    """Window positions start..end (1-based) whose request is resident."""
+    return [j for j in range(start, end + 1) if requests[j - 1] in resident]
+
+
+def serve_amr_reference(workload):
+    """The buffered look-ahead engine as plain scans over lists.
+
+    Every list access looks up its position with list.index, compares
+    each offset of the window one by one and scans the whole window for
+    buffered elements. The buffer is a FIFO of slots filled 1..capacity
+    in order, then overwritten round-robin. Returns (breakdown, events)
+    in the engine's own types.
+    """
+    elements = workload.list.elements
+    requests = workload.requests.requests
+    n = len(requests)
+    capacity = workload.buffer_capacity
+    slots = []  # slot p holds slots[p - 1]
+    oldest = 0  # index of the next slot to evict once all are full
+    flags = set()
+    access = matching = replacement = 0
+    trace = []
+    for t in range(1, n + 1):
+        x = requests[t - 1]
+        if t in flags and x in slots:
+            slot = slots.index(x) + 1
+            access += slot
+            trace.append(AmrStepEvent(t, x, "buffer", slot, slot))
+            continue
+        i = elements.index(x) + 1
+        access += i
+        matched = positional_matches(elements, requests, t)
+        matching += len(matched)
+        fresh = [e for _, e in matched if e not in slots]
+        fresh = fresh[max(0, len(fresh) - capacity) :]
+        inserted, evicted = [], []
+        for e in fresh:
+            if len(slots) < capacity:
+                slots.append(e)
+                inserted.append((len(slots), e))
+            else:
+                evicted.append((oldest + 1, slots[oldest]))
+                slots[oldest] = e
+                inserted.append((oldest + 1, e))
+                oldest = (oldest + 1) % capacity
+        replacement += len(evicted)
+        touched = flagged_positions(requests, t + 1, min(t + i, n), slots)
+        flags.update(touched)
+        trace.append(
+            AmrStepEvent(
+                t, x, "list", i, i, tuple(matched), tuple(inserted), tuple(evicted),
+                tuple(touched),
+            )
+        )
+    return CostBreakdown(access=access, matching=matching, replacement=replacement), trace
 
 
 def matchless(elements, requests):

@@ -19,11 +19,17 @@ unique_token_lists = st.lists(tokens, unique=True, min_size=1, max_size=8)
 
 @st.composite
 def workloads(draw, max_l=8, max_n=24, buffers=(0, 1, 2, 3, 5)):
-    """Workloads over position-named elements, valid by construction."""
+    """Workloads over position-named elements, valid by construction.
+
+    `buffers=None` draws the capacity from 0..l+2.
+    """
     l = draw(st.integers(1, max_l))
     elements = list_elements(l)
     idxs = draw(st.lists(st.integers(0, l - 1), max_size=max_n))
-    capacity = draw(st.sampled_from(list(buffers)))
+    if buffers is None:
+        capacity = draw(st.integers(0, l + 2))
+    else:
+        capacity = draw(st.sampled_from(list(buffers)))
     return make_workload(elements, (elements[i] for i in idxs), capacity)
 
 

@@ -1,8 +1,9 @@
 import itertools
 import tracemalloc
+from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from listlab import (
     FULL,
@@ -10,16 +11,32 @@ from listlab import (
     Buffer,
     InvalidWorkload,
     ListConfig,
+    LookaheadWindow,
     RequestSequence,
+    Workload,
+    amr,
     buffer_insert,
+    generate,
     lookahead_window,
     make_workload,
     match_parallel,
+    position,
     run_classic,
     serve_amr,
     set_flags,
+    spec_from_dist_token,
 )
-from oracles import best_retained, matchless, replay_amr_trace, static_full_total
+from listlab.amr import SCAN_MAX
+from listlab.workloads import list_elements
+from oracles import (
+    best_retained,
+    flagged_positions,
+    matchless,
+    positional_matches,
+    replay_amr_trace,
+    serve_amr_reference,
+    static_full_total,
+)
 from support import workloads
 
 NINE = ListConfig(tuple("A B C D E F G H I".split()))
@@ -287,3 +304,103 @@ def test_matchless_search_finds_qualifying_workloads():
         w = make_workload(elements, seq, 2)
         breakdown, _ = serve_amr(w)
         assert breakdown.total == static_full_total(elements, seq)
+
+
+# --- indexed paths against plain scans ----------------------------------------
+
+
+@settings(max_examples=300)
+@given(w=workloads(max_l=80, max_n=160, buffers=None))
+def test_engine_matches_plain_scan_reference(w):
+    # l up to 80 puts windows on both sides of SCAN_MAX
+    assert serve_amr(w) == serve_amr_reference(w)
+
+
+@given(
+    l=st.integers(SCAN_MAX + 1, 80),
+    idxs=st.lists(st.integers(0, 79), min_size=SCAN_MAX + 1, max_size=160),
+)
+def test_long_window_matches_agree_with_oracle(l, idxs):
+    elements = list_elements(l)
+    # the first request is the last element, so its window is longer than SCAN_MAX
+    requests = RequestSequence((elements[-1], *(elements[i % l] for i in idxs)))
+    lst = ListConfig(elements)
+    for t, x in enumerate(requests.requests, start=1):
+        assert match_parallel(lst, position(lst, x), requests, t) == positional_matches(
+            elements, requests.requests, t
+        )
+
+
+@given(data=st.data())
+def test_long_window_flags_agree_with_plain_scan(data):
+    l = data.draw(st.integers(1, 80))
+    elements = list_elements(l)
+    n = data.draw(st.integers(SCAN_MAX + 1, 160))
+    requests = RequestSequence(
+        tuple(elements[i] for i in data.draw(st.lists(st.integers(0, l - 1), min_size=n, max_size=n)))
+    )
+    # few residents take the bisection path, many keep the scan
+    residents = data.draw(st.lists(st.sampled_from(elements), unique=True, max_size=l))
+    buf = Buffer(len(residents))
+    for e in residents:
+        buf.place(e)
+    t = data.draw(st.integers(0, n - SCAN_MAX - 1))
+    window = lookahead_window(t, data.draw(st.integers(SCAN_MAX + 1, n)), n)
+    before = data.draw(st.sets(st.integers(1, n)))
+    flags = set(before)
+    touched = set_flags(flags, window, buf, requests)
+    assert touched == flagged_positions(requests.requests, window.start, window.end, residents)
+    assert flags == before | set(touched)
+
+
+def test_one_request_sequence_served_against_two_lists():
+    # the diagonal table is cached per list object and rebuilt for another one
+    elements = list_elements(40)
+    requests = generate(spec_from_dist_token("uniform", 40, 400, 3)).requests
+    forward, backward = ListConfig(elements), ListConfig(tuple(reversed(elements)))
+    runs = {}
+    for lst in (forward, backward, forward, ListConfig(elements), backward):
+        w = Workload(lst, requests, 4)
+        runs.setdefault(lst.elements, []).append(serve_amr(w))
+        assert runs[lst.elements][-1] == serve_amr_reference(w)
+    assert runs[forward.elements][0] != runs[backward.elements][0]
+
+
+# --- the helpers the benchmark tracer wraps -------------------------------------
+
+# Module attribute -> the positional argument types perfbench/tracer.py
+# expects when it swaps in its timing wrappers.
+TRACED_HELPERS = {
+    "position": (ListConfig, str),
+    "match_parallel": (ListConfig, int, RequestSequence, int),
+    "buffer_insert": (Buffer, list),
+    "lookahead_window": (int, int, int),
+    "set_flags": (set, LookaheadWindow, Buffer, RequestSequence),
+}
+
+
+def test_engine_calls_the_traced_helpers(monkeypatch, illustration):
+    calls = Counter()
+
+    def counting(name, fn, types):
+        def wrapper(*args):  # positional only, like the tracer's wrappers
+            assert len(args) == len(types), (name, args)
+            assert all(isinstance(a, ty) for a, ty in zip(args, types)), (name, args)
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    for name, types in TRACED_HELPERS.items():
+        monkeypatch.setattr(amr, name, counting(name, getattr(amr, name), types))
+    monkeypatch.setattr(Buffer, "slot_of", counting("slot_of", Buffer.slot_of, (Buffer, str)))
+    # a long uniform workload also runs the indexed paths under the wrappers
+    for w in (illustration, generate(spec_from_dist_token("uniform", 100, 2000, 1), 8)):
+        calls.clear()
+        breakdown, trace = amr.serve_amr(w)
+        assert (breakdown, trace) == serve_amr_reference(w)
+        accesses = sum(ev.source == "list" for ev in trace)
+        hits = len(trace) - accesses
+        assert accesses > 0 and hits > 0
+        assert {name: calls[name] for name in TRACED_HELPERS} == dict.fromkeys(TRACED_HELPERS, accesses)
+        assert calls["slot_of"] >= hits

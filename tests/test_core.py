@@ -3,12 +3,16 @@ from hypothesis import given
 
 from listlab import (
     InvalidWorkload,
+    ListConfig,
     NotInList,
     ParseError,
+    generate,
     make_workload,
     parse_workload,
     position,
     serialize_workload,
+    serve_amr,
+    spec_from_dist_token,
     validate_workload,
 )
 from listlab.core import require_valid
@@ -31,6 +35,25 @@ def test_position_absent_element():
     lst = make_workload(("A", "B", "C"), (), 0).list
     with pytest.raises(NotInList):
         position(lst, "Z")
+
+
+def test_position_keeps_first_occurrence_and_not_in_list():
+    lst = ListConfig(("A", "B", "A"))
+    for _ in range(2):  # the second round reads the cached index
+        assert [position(lst, e) for e in "ABA"] == [1, 2, 1]
+        with pytest.raises(NotInList):
+            position(lst, "Z")
+
+
+def test_cached_indices_leave_equality_and_hash_unchanged():
+    w = generate(spec_from_dist_token("uniform", 40, 300, 5), buffer_capacity=3)
+    twin = make_workload(w.list.elements, w.requests.requests, w.buffer_capacity)
+    before = (hash(w), hash(w.list), hash(w.requests), repr(w), serialize_workload(w))
+    serve_amr(w)
+    assert "positions" in vars(w.list) and "_diagonals" in vars(w.requests)
+    assert (hash(w), hash(w.list), hash(w.requests), repr(w), serialize_workload(w)) == before
+    assert (w, w.list, w.requests) == (twin, twin.list, twin.requests)
+    assert hash(w) == hash(twin)
 
 
 @given(unique_token_lists)

@@ -7,7 +7,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from listlab import FULL, InvalidSpec, generate, run_classic, serve_amr, spec_from_dist_token
+from listlab import FULL, generate, run_classic, serve_amr, spec_from_dist_token
 
 
 def main() -> int:
@@ -21,7 +21,9 @@ def main() -> int:
 
     try:
         spec = spec_from_dist_token(args.dist, args.list_size, args.length, args.seed)
-    except InvalidSpec as exc:
+        if args.max_buffer < 0:
+            raise ValueError(f"--max-buffer must be >= 0, got {args.max_buffer}")
+    except ValueError as exc:  # InvalidSpec included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     # Every capacity shares one list and request sequence, and with them

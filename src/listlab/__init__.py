@@ -7,7 +7,6 @@ replacement costs instead.
 """
 
 from .amr import (
-    AmrStepEvent,
     Buffer,
     LookaheadWindow,
     buffer_insert,
@@ -16,7 +15,7 @@ from .amr import (
     serve_amr,
     set_flags,
 )
-from .classic import CLASSIC_ALGORITHMS, ClassicStepEvent, ListState, run_classic
+from .classic import CLASSIC_ALGORITHMS, run_classic
 from .core import (
     InvalidWorkload,
     ListConfig,
@@ -39,6 +38,7 @@ from .costs import (
     CostModel,
     ExchangeKind,
     OutOfRange,
+    StepEvent,
     Unsupported,
     access_cost,
     center_position,

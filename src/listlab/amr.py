@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .core import ListConfig, RequestSequence, Workload, position, require_valid
-from .costs import CostBreakdown
+from .costs import CostBreakdown, StepEvent
 
 
 # Look-ahead windows of at most SCAN_MAX requests are scanned position by
@@ -194,22 +194,7 @@ def set_flags(
     return touched
 
 
-@dataclass(frozen=True)
-class AmrStepEvent:
-    """One served request: a list access with its bookkeeping, or a buffer hit."""
-
-    t: int
-    element: str
-    source: str  # "list" | "buffer"
-    position: int  # list position or buffer slot
-    access_cost: int
-    matched: tuple[tuple[int, str], ...] = ()
-    inserted: tuple[tuple[int, str], ...] = ()
-    evicted: tuple[tuple[int, str], ...] = ()
-    flags_added: tuple[int, ...] = ()
-
-
-def serve_amr(workload: Workload) -> tuple[CostBreakdown, list[AmrStepEvent]]:
+def serve_amr(workload: Workload) -> tuple[CostBreakdown, list[StepEvent]]:
     """Serve the whole request sequence under the buffered look-ahead rules.
 
     A flag is honored only while its element still occupies a buffer
@@ -224,14 +209,14 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, list[AmrStepEvent]]:
     buffer = Buffer(workload.buffer_capacity)
     flags: set[int] = set()
     access = matching = replacement = 0
-    trace: list[AmrStepEvent] = []
+    trace: list[StepEvent] = []
     n = requests.n
     for t, x in enumerate(requests.requests, start=1):
         slot = buffer.slot_of(x) if t in flags else None
         flags.discard(t)  # flags only ever hold positions after t
         if slot is not None:
             access += slot
-            trace.append(AmrStepEvent(t, x, "buffer", slot, slot))
+            trace.append(StepEvent(t, x, "buffer", slot, slot))
             continue
         i = position(lst, x)
         access += i
@@ -242,7 +227,7 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, list[AmrStepEvent]]:
         window = lookahead_window(t, i, n)
         touched = set_flags(flags, window, buffer, requests)
         trace.append(
-            AmrStepEvent(
+            StepEvent(
                 t,
                 x,
                 "list",

@@ -16,13 +16,12 @@ transposition under pd:<d>.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import NotInList, Workload, require_valid
 from .costs import (
     CostBreakdown,
     CostModel,
     ExchangeKind,
+    StepEvent,
     Unsupported,
     access_cost,
     exchange_cost,
@@ -31,28 +30,13 @@ from .costs import (
 CLASSIC_ALGORITHMS = ("static", "mtf", "transpose", "fc")
 
 
-@dataclass
-class ListState:
-    """Mutable per-run state: current ordering plus fc access counters."""
-
-    ordering: list[str]
-    counts: dict[str, int]
-
-
-@dataclass(frozen=True)
-class ClassicStepEvent:
-    t: int
-    element: str
-    position: int
-    access_cost: int
-    transpositions: int
-    exchange_cost: int
-
-
 def run_classic(
     algorithm: str, model: CostModel, workload: Workload
-) -> tuple[CostBreakdown, list[ClassicStepEvent], ListState]:
-    """Serve the whole request sequence; buffer capacity is ignored."""
+) -> tuple[CostBreakdown, list[StepEvent], list[str]]:
+    """Serve the whole request sequence; buffer capacity is ignored.
+
+    Returns the breakdown, one event per request and the final ordering.
+    """
     if algorithm not in CLASSIC_ALGORITHMS:
         raise Unsupported(f"unknown algorithm {algorithm!r}")
     if model.kind == "centralized" and algorithm != "static":
@@ -63,7 +47,7 @@ def run_classic(
     l = len(ordering)
     access = 0
     exchange = 0
-    trace: list[ClassicStepEvent] = []
+    trace: list[StepEvent] = []
     for t, x in enumerate(workload.requests.requests, start=1):
         try:
             idx = ordering.index(x)
@@ -91,8 +75,7 @@ def run_classic(
                 del ordering[idx]
                 ordering.insert(j, x)
             moves = idx - j
-        step_exchange = exchange_cost(model, ExchangeKind.FREE_ELIGIBLE, moves)
         access += step_access
-        exchange += step_exchange
-        trace.append(ClassicStepEvent(t, x, i, step_access, moves, step_exchange))
-    return CostBreakdown(access=access, exchange=exchange), trace, ListState(ordering, counts)
+        exchange += exchange_cost(model, ExchangeKind.FREE_ELIGIBLE, moves)
+        trace.append(StepEvent(t, x, "list", i, step_access, transpositions=moves))
+    return CostBreakdown(access=access, exchange=exchange), trace, ordering

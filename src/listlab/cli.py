@@ -11,11 +11,11 @@ import argparse
 import csv
 import io
 import sys
-from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
-from .amr import AmrStepEvent, serve_amr
-from .classic import CLASSIC_ALGORITHMS, ClassicStepEvent, run_classic
+from .amr import serve_amr
+from .classic import CLASSIC_ALGORITHMS, run_classic
 from .core import (
     ParseError,
     Workload,
@@ -38,8 +38,9 @@ class CliError(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
+    """One CSV record; the field names are the CSV header."""
+
     algorithm: str
     model: str
     access: int
@@ -76,7 +77,7 @@ class ComparisonRow:
         )
 
 
-CSV_HEADER = tuple(f.name for f in fields(ComparisonRow))
+CSV_HEADER = ComparisonRow._fields
 
 
 def rows_to_csv(rows: list[ComparisonRow]) -> str:
@@ -84,28 +85,23 @@ def rows_to_csv(rows: list[ComparisonRow]) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     # csv writes None, the seed of a file-loaded workload, as an empty field.
-    writer.writerows([getattr(r, name) for name in CSV_HEADER] for r in rows)
+    writer.writerows(rows)
     return out.getvalue()
 
 
 def _pairs(pairs) -> str:
-    return ";".join(f"{a}:{b}" for a, b in pairs)
+    if not pairs:  # most steps: every classical one and every buffer hit
+        return ""
+    return ";".join([f"{a}:{b}" for a, b in pairs])
 
 
-def format_trace_line(ev: AmrStepEvent | ClassicStepEvent) -> str:
-    if isinstance(ev, AmrStepEvent):
-        matched = _pairs(ev.matched)
-        inserted = _pairs(ev.inserted)
-        evicted = _pairs(ev.evicted)
-        flags = ";".join(str(j) for j in ev.flags_added)
-        source = ev.source
-    else:
-        matched = inserted = evicted = flags = ""
-        source = "list"
+def format_trace_line(ev) -> str:
+    """A StepEvent without its transpositions, as key=value fields."""
+    t, element, source, position, cost, matched, inserted, evicted, flags, _ = ev
     return (
-        f"t={ev.t} element={ev.element} source={source} position={ev.position} "
-        f"cost={ev.access_cost} matched={matched} inserted={inserted} "
-        f"evicted={evicted} flags_added={flags}"
+        f"t={t} element={element} source={source} position={position} cost={cost} "
+        f"matched={_pairs(matched)} inserted={_pairs(inserted)} evicted={_pairs(evicted)} "
+        f"flags_added={';'.join(map(str, flags)) if flags else ''}"
     )
 
 

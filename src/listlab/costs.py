@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class OutOfRange(ValueError):
@@ -121,3 +122,26 @@ class CostBreakdown:
     @property
     def total(self) -> int:
         return self.access + self.matching + self.replacement + self.exchange
+
+
+class StepEvent(NamedTuple):
+    """One served request, as every engine reports it.
+
+    The fields up to flags_added are a trace line's fields in order.
+    source is "list" or "buffer" (amr only), and position is the list
+    position or the buffer slot. The classical algorithms leave the amr
+    bookkeeping empty and count in transpositions the adjacent
+    exchanges that moved the accessed element toward the front; amr
+    never moves the list.
+    """
+
+    t: int
+    element: str
+    source: str
+    position: int
+    access_cost: int
+    matched: tuple[tuple[int, str], ...] = ()
+    inserted: tuple[tuple[int, str], ...] = ()
+    evicted: tuple[tuple[int, str], ...] = ()
+    flags_added: tuple[int, ...] = ()
+    transpositions: int = 0

@@ -5,9 +5,12 @@ calling into the engines, so tests can compare two routes to the same
 number.
 """
 
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
+from math import inf
+from operator import add
 
-from listlab import AmrStepEvent, CostBreakdown
+from listlab import CostBreakdown, StepEvent
 
 
 def static_full_total(elements, requests):
@@ -25,6 +28,61 @@ def mtf_full_total(elements, requests):
         order.remove(x)
         order.insert(0, x)
     return total
+
+
+@lru_cache(maxsize=None)
+def _orders(l):
+    """Every order of 0..l-1 (the identity first), with, for each order m,
+    the exchange distances dist[m][k] from every order k, and the orders
+    moves[m][x] that moving element x toward the front of m can give.
+
+    The fewest adjacent exchanges that turn one order into another is the
+    number of pairs the two orders rank differently.
+    """
+    orders = list(permutations(range(l)))
+    index = {o: m for m, o in enumerate(orders)}
+
+    def distance(a, b):
+        rank = {e: p for p, e in enumerate(a)}
+        seq = [rank[e] for e in b]
+        return sum(seq[p] > seq[q] for p, q in combinations(range(l), 2))
+
+    dist = [[distance(a, b) for a in orders] for b in orders]
+    moves = [
+        [
+            [index[o[:j] + (x,) + o[j : o.index(x)] + o[o.index(x) + 1 :]]
+             for j in range(o.index(x) + 1)]
+            for x in range(l)
+        ]
+        for o in orders
+    ]
+    return orders, dist, moves
+
+
+def opt_full_total(elements, requests):
+    """Offline optimum under the full model, by dynamic programming over
+    all l! orders of the list.
+
+    Before each access any adjacent exchanges may be made at cost 1
+    each; the access at position i costs i; afterwards the accessed
+    element may move any distance toward the front for free. cost[m] is
+    the cheapest way to serve the requests so far and leave the list in
+    order m. Exponential in l, so keep l <= 5. Paid exchanges alone reach
+    the optimum (Reingold & Westbrook, IPL 1996), so the free moves, which
+    the model allows, change no total.
+    """
+    orders, dist, moves = _orders(len(elements))
+    ids = {e: k for k, e in enumerate(elements)}
+    cost = [0] + [inf] * (len(orders) - 1)
+    for x in (ids[r] for r in requests):
+        paid = [min(map(add, cost, row)) for row in dist]
+        cost = [inf] * len(orders)
+        for m, c in enumerate(paid):
+            c += orders[m].index(x) + 1
+            for after in moves[m][x]:
+                if c < cost[after]:
+                    cost[after] = c
+    return min(cost)
 
 
 def positional_matches(elements, requests, t):
@@ -68,7 +126,7 @@ def serve_amr_reference(workload):
         if t in flags and x in slots:
             slot = slots.index(x) + 1
             access += slot
-            trace.append(AmrStepEvent(t, x, "buffer", slot, slot))
+            trace.append(StepEvent(t, x, "buffer", slot, slot))
             continue
         i = elements.index(x) + 1
         access += i
@@ -90,7 +148,7 @@ def serve_amr_reference(workload):
         touched = flagged_positions(requests, t + 1, min(t + i, n), slots)
         flags.update(touched)
         trace.append(
-            AmrStepEvent(
+            StepEvent(
                 t, x, "list", i, i, tuple(matched), tuple(inserted), tuple(evicted),
                 tuple(touched),
             )

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from listlab import (
     FULL,
-    AmrStepEvent,
     Buffer,
     InvalidWorkload,
     ListConfig,
     LookaheadWindow,
     RequestSequence,
+    StepEvent,
     Workload,
     amr,
     buffer_insert,
@@ -160,29 +160,29 @@ def test_flags_empty_window_is_a_no_op():
 # --- serve_amr --------------------------------------------------------------
 
 ILLUSTRATION_TRACE = [
-    AmrStepEvent(1, "I", "list", 9, 9, ((5, "E"), (9, "I")), ((1, "E"), (2, "I")), (), (2, 5, 6, 10)),
-    AmrStepEvent(2, "E", "buffer", 1, 1),
-    AmrStepEvent(3, "G", "list", 7, 7, ((4, "D"),), ((3, "D"),), (), (4, 5, 6, 7, 10)),
-    AmrStepEvent(4, "D", "buffer", 3, 3),
-    AmrStepEvent(5, "I", "buffer", 2, 2),
-    AmrStepEvent(6, "E", "buffer", 1, 1),
-    AmrStepEvent(7, "D", "buffer", 3, 3),
-    AmrStepEvent(8, "A", "list", 1, 1),
-    AmrStepEvent(9, "B", "list", 2, 2, (), (), (), (10,)),
-    AmrStepEvent(10, "I", "buffer", 2, 2),
+    StepEvent(1, "I", "list", 9, 9, ((5, "E"), (9, "I")), ((1, "E"), (2, "I")), (), (2, 5, 6, 10)),
+    StepEvent(2, "E", "buffer", 1, 1),
+    StepEvent(3, "G", "list", 7, 7, ((4, "D"),), ((3, "D"),), (), (4, 5, 6, 7, 10)),
+    StepEvent(4, "D", "buffer", 3, 3),
+    StepEvent(5, "I", "buffer", 2, 2),
+    StepEvent(6, "E", "buffer", 1, 1),
+    StepEvent(7, "D", "buffer", 3, 3),
+    StepEvent(8, "A", "list", 1, 1),
+    StepEvent(9, "B", "list", 2, 2, (), (), (), (10,)),
+    StepEvent(10, "I", "buffer", 2, 2),
 ]
 
 DEMONSTRATION_TRACE = [
-    AmrStepEvent(1, "I", "list", 9, 9, ((5, "E"), (9, "I")), ((1, "E"), (2, "I")), (), (2, 5, 6, 10)),
-    AmrStepEvent(2, "E", "buffer", 1, 1),
-    AmrStepEvent(3, "G", "list", 7, 7, ((4, "D"),), ((3, "D"),), (), (4, 5, 6, 7, 10)),
-    AmrStepEvent(4, "D", "buffer", 3, 3),
-    AmrStepEvent(5, "I", "buffer", 2, 2),
-    AmrStepEvent(6, "E", "buffer", 1, 1),
-    AmrStepEvent(7, "D", "buffer", 3, 3),
-    AmrStepEvent(8, "B", "list", 2, 2, ((1, "A"),), ((1, "A"),), ((1, "E"),), (9, 10)),
-    AmrStepEvent(9, "A", "buffer", 1, 1),
-    AmrStepEvent(10, "I", "buffer", 2, 2),
+    StepEvent(1, "I", "list", 9, 9, ((5, "E"), (9, "I")), ((1, "E"), (2, "I")), (), (2, 5, 6, 10)),
+    StepEvent(2, "E", "buffer", 1, 1),
+    StepEvent(3, "G", "list", 7, 7, ((4, "D"),), ((3, "D"),), (), (4, 5, 6, 7, 10)),
+    StepEvent(4, "D", "buffer", 3, 3),
+    StepEvent(5, "I", "buffer", 2, 2),
+    StepEvent(6, "E", "buffer", 1, 1),
+    StepEvent(7, "D", "buffer", 3, 3),
+    StepEvent(8, "B", "list", 2, 2, ((1, "A"),), ((1, "A"),), ((1, "E"),), (9, 10)),
+    StepEvent(9, "A", "buffer", 1, 1),
+    StepEvent(10, "I", "buffer", 2, 2),
 ]
 
 

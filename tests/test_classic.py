@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from listlab import (
     CENTRALIZED,
+    CLASSIC_ALGORITHMS,
     FULL,
     PARTIAL,
     InvalidWorkload,
@@ -11,8 +14,8 @@ from listlab import (
     pd,
     run_classic,
 )
-from oracles import mtf_full_total, static_full_total
-from support import workloads
+from oracles import mtf_full_total, opt_full_total, static_full_total
+from support import tokens, workloads
 
 
 def _workload(elements, requests):
@@ -27,28 +30,28 @@ def test_mtf_reverse_order_costs_121(reverse_eleven):
 
 
 def test_mtf_repeated_tail_element():
-    breakdown, _, state = run_classic("mtf", FULL, _workload("A B C".split(), "C C".split()))
+    breakdown, _, ordering = run_classic("mtf", FULL, _workload("A B C".split(), "C C".split()))
     assert breakdown.total == 4
-    assert state.ordering == ["C", "A", "B"]
+    assert ordering == ["C", "A", "B"]
 
 
 def test_transpose_single_access():
-    breakdown, _, state = run_classic("transpose", FULL, _workload("A B C".split(), ["C"]))
+    breakdown, _, ordering = run_classic("transpose", FULL, _workload("A B C".split(), ["C"]))
     assert breakdown.total == 3
-    assert state.ordering == ["A", "C", "B"]
+    assert ordering == ["A", "C", "B"]
 
 
 def test_transpose_front_access_keeps_order():
-    _, trace, state = run_classic("transpose", FULL, _workload("A B".split(), ["A"]))
-    assert state.ordering == ["A", "B"]
+    _, trace, ordering = run_classic("transpose", FULL, _workload("A B".split(), ["A"]))
+    assert ordering == ["A", "B"]
     assert trace[0].transpositions == 0
 
 
 def test_fc_overtakes_smaller_counts_only():
-    breakdown, _, state = run_classic("fc", FULL, _workload("A B C".split(), "B B".split()))
+    breakdown, trace, ordering = run_classic("fc", FULL, _workload("A B C".split(), "B B".split()))
     assert breakdown.total == 3
-    assert state.ordering == ["B", "A", "C"]
-    assert state.counts == {"A": 0, "B": 2, "C": 0}
+    assert ordering == ["B", "A", "C"]
+    assert [ev.transpositions for ev in trace] == [1, 0]
 
 
 def test_static_partial_two_accesses():
@@ -93,20 +96,20 @@ def test_mtf_agrees_with_reference_replay(demonstration):
 
 
 def test_static_trace_positions_are_fixed(demonstration):
-    breakdown, trace, state = run_classic("static", FULL, demonstration)
+    breakdown, trace, ordering = run_classic("static", FULL, demonstration)
     elements = demonstration.list.elements
     assert [ev.position for ev in trace] == [
         elements.index(x) + 1 for x in demonstration.requests.requests
     ]
-    assert state.ordering == list(elements)
+    assert ordering == list(elements)
     assert breakdown.total == static_full_total(elements, demonstration.requests.requests) == 55
 
 
 @pytest.mark.parametrize("algorithm", ["static", "mtf", "transpose", "fc"])
 @given(w=workloads())
 def test_final_ordering_is_a_permutation(algorithm, w):
-    _, _, state = run_classic(algorithm, FULL, w)
-    assert sorted(state.ordering) == sorted(w.list.elements)
+    _, _, ordering = run_classic(algorithm, FULL, w)
+    assert sorted(ordering) == sorted(w.list.elements)
 
 
 @pytest.mark.parametrize("algorithm", ["static", "mtf", "transpose", "fc"])
@@ -125,23 +128,22 @@ def test_positional_laws_hold_after_every_prefix(w):
         prefix = make_workload(elements, requests[:t], 0)
         x = requests[t - 1]
 
-        _, mtf_trace, mtf_state = run_classic("mtf", FULL, prefix)
-        assert mtf_state.ordering[0] == x
+        _, _, mtf_ordering = run_classic("mtf", FULL, prefix)
+        assert mtf_ordering[0] == x
 
-        _, tr_trace, tr_state = run_classic("transpose", FULL, prefix)
+        _, tr_trace, tr_ordering = run_classic("transpose", FULL, prefix)
         i = tr_trace[-1].position
-        assert tr_state.ordering.index(x) + 1 == max(1, i - 1)
+        assert tr_ordering.index(x) + 1 == max(1, i - 1)
 
-        _, _, fc_state = run_classic("fc", FULL, prefix)
-        along = [fc_state.counts[e] for e in fc_state.ordering]
+        # fc keeps the list in non-increasing order of request tallies and
+        # puts x right behind every other element requested at least as often.
+        _, fc_trace, fc_ordering = run_classic("fc", FULL, prefix)
+        tallies = Counter(requests[:t])
+        along = [tallies[e] for e in fc_ordering]
         assert along == sorted(along, reverse=True)
-
-
-@given(w=workloads(max_l=6, max_n=12))
-def test_fc_counts_match_access_tallies(w):
-    _, _, state = run_classic("fc", FULL, w)
-    for e in w.list.elements:
-        assert state.counts[e] == list(w.requests.requests).count(e)
+        at_least = sum(tallies[e] >= tallies[x] for e in elements if e != x)
+        assert fc_ordering.index(x) == at_least
+        assert fc_trace[-1].transpositions == fc_trace[-1].position - 1 - at_least
 
 
 @given(w=workloads(), d=st.integers(1, 4))
@@ -163,3 +165,32 @@ def test_mtf_within_sleator_tarjan_bound(algorithm, w):
     breakdown, events, _ = run_classic(algorithm, FULL, w)
     free = sum(ev.transpositions for ev in events)
     assert mtf.total <= 2 * breakdown.total - free - w.requests.n
+
+
+def test_offline_optimum_pays_for_exchanges_up_front():
+    # A B C, requests C B B C. One paid exchange makes B A C (1); C costs
+    # 3 and moves in behind B for free; then B, B and C cost 1, 1 and 2:
+    # 8 in all. With free moves alone the best is 9, which mtf reaches.
+    w = _workload("A B C".split(), "C B B C".split())
+    assert opt_full_total(w.list.elements, w.requests.requests) == 8
+    totals = [run_classic(a, FULL, w)[0].total for a in CLASSIC_ALGORITHMS]
+    assert totals == [10, 9, 11, 10]
+
+
+@given(w=workloads(max_l=5, max_n=12))
+def test_offline_optimum_bounds_every_classical_total(w):
+    opt = opt_full_total(w.list.elements, w.requests.requests)
+    n = w.requests.n
+    totals = {a: run_classic(a, FULL, w)[0].total for a in CLASSIC_ALGORITHMS}
+    assert n <= opt <= min(totals.values())
+    # Sleator & Tarjan, CACM 1985: move-to-front is 2-competitive.
+    assert totals["mtf"] <= 2 * opt - n
+
+
+@given(w=workloads(max_l=5, max_n=12), data=st.data())
+def test_offline_optimum_ignores_element_names(w, data):
+    elements = w.list.elements
+    names = data.draw(st.lists(tokens, min_size=len(elements), max_size=len(elements), unique=True))
+    rename = dict(zip(elements, names))
+    renamed = [rename[x] for x in w.requests.requests]
+    assert opt_full_total(names, renamed) == opt_full_total(elements, w.requests.requests)

@@ -2,9 +2,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from listlab import serialize_workload
-from listlab.cli import PAPER_EXAMPLES, ComparisonRow, main, rows_to_csv
+from listlab.cli import (
+    ALGORITHM_TOKENS,
+    PAPER_EXAMPLES,
+    ComparisonRow,
+    format_trace_line,
+    main,
+    rows_to_csv,
+    run_pair,
+)
 from oracles import static_full_total
-from support import rows_from_csv
+from support import rows_from_csv, workloads
 
 DEMO = "list: A B C D E F G H I\nbuffer: 3\nrequests: I E G D I E D B A I\n"
 ILLU = "list: A B C D E F G H I\nbuffer: 3\nrequests: I E G D I E D A B I\n"
@@ -103,6 +111,31 @@ def test_run_classic_trace_has_same_fields(demo_path, tmp_path):
         "t=1 element=I source=list position=9 cost=9 "
         "matched= inserted= evicted= flags_added="
     )
+
+
+TRACE_KEYS = (
+    "t", "element", "source", "position", "cost", "matched", "inserted", "evicted", "flags_added"
+)
+
+
+@given(w=workloads())
+def test_every_engine_steps_through_one_record(w):
+    for algorithm in ALGORITHM_TOKENS:  # the classical ones under full
+        _, breakdown, events = run_pair(algorithm, None, w)
+        assert [ev.t for ev in events] == list(range(1, w.requests.n + 1))
+        if algorithm == "amr":
+            assert all(ev.transpositions == 0 for ev in events)
+        else:
+            for ev in events:
+                assert ev.source == "list"
+                assert (ev.matched, ev.inserted, ev.evicted, ev.flags_added) == ((), (), (), ())
+        cost = 0
+        for ev in events:
+            fields = [field.split("=", 1) for field in format_trace_line(ev).split(" ")]
+            assert tuple(key for key, _ in fields) == TRACE_KEYS
+            assert [value for _, value in fields[:5]] == [str(v) for v in ev[:5]]
+            cost += int(fields[4][1])
+        assert cost == breakdown.access
 
 
 def test_run_writes_single_row_csv(demo_path, tmp_path):

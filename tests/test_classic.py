@@ -146,6 +146,19 @@ def test_positional_laws_hold_after_every_prefix(w):
         assert fc_trace[-1].transpositions == fc_trace[-1].position - 1 - at_least
 
 
+@given(w=workloads(max_l=6, max_n=12))
+def test_fc_counts_match_access_tallies(w):
+    # fc's counts are its request tallies: the final ordering is
+    # non-increasing in the tallies over the whole sequence, and elements
+    # never requested are never moved past one another.
+    _, _, ordering = run_classic("fc", FULL, w)
+    tallies = Counter(w.requests.requests)
+    along = [tallies[e] for e in ordering]
+    assert along == sorted(along, reverse=True)
+    unrequested = [e for e in ordering if tallies[e] == 0]
+    assert unrequested == [e for e in w.list.elements if tallies[e] == 0]
+
+
 @given(w=workloads(), d=st.integers(1, 4))
 def test_pd_exchange_equals_d_times_transpositions(w, d):
     base, base_trace, _ = run_classic("mtf", FULL, w)

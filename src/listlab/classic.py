@@ -12,11 +12,17 @@ and rearranging per the algorithm:
 All rearrangements move the just-accessed element toward the front, so
 they are free under the full and partial models and charged d per
 transposition under pd:<d>.
+
+Only mtf scans the list for each access. static reads the list's cached
+position dict, transpose keeps its own copy of that dict up to date
+across swaps, and fc keeps the list as groups of equal access count.
 """
 
 from __future__ import annotations
 
-from .core import NotInList, Workload, require_valid
+from itertools import count, repeat
+
+from .core import Workload, require_valid
 from .costs import (
     CostBreakdown,
     CostModel,
@@ -28,6 +34,75 @@ from .costs import (
 )
 
 CLASSIC_ALGORITHMS = ("static", "mtf", "transpose", "fc")
+
+# One function per algorithm serves the requests against the list alone
+# and returns the 1-based access positions, the transpositions of each
+# step and the final ordering; run_classic does the cost accounting.
+
+
+def _static(workload: Workload):
+    pos = workload.list.positions
+    return [pos[x] for x in workload.requests.requests], repeat(0), list(workload.list.elements)
+
+
+def _mtf(workload: Workload):
+    ordering = list(workload.list.elements)
+    positions: list[int] = []
+    for x in workload.requests.requests:
+        idx = ordering.index(x)
+        if idx:
+            del ordering[idx]
+            ordering.insert(0, x)
+        positions.append(idx + 1)
+    return positions, [i - 1 for i in positions], ordering
+
+
+def _transpose(workload: Workload):
+    ordering = list(workload.list.elements)
+    pos = dict(workload.list.positions)  # a private copy: the cached one is shared
+    positions: list[int] = []
+    for x in workload.requests.requests:
+        i = pos[x]
+        positions.append(i)
+        if i > 1:
+            y = ordering[i - 2]
+            ordering[i - 2] = x
+            ordering[i - 1] = y
+            pos[x] = i - 1
+            pos[y] = i
+    return positions, [int(i > 1) for i in positions], ordering
+
+
+def _fc(workload: Workload):
+    # groups[c] holds the elements accessed c times, front to back, and
+    # higher[c] counts the elements accessed more than c times, which all
+    # stand in front of group c. Overtaking strictly smaller counts only,
+    # an accessed element always lands at the end of group c + 1, so each
+    # group is in arrival order and the list is the groups from the
+    # highest count down.
+    groups = [list(workload.list.elements)]
+    higher = [0]
+    counts = dict.fromkeys(workload.list.elements, 0)
+    positions: list[int] = []
+    moves: list[int] = []
+    for x in workload.requests.requests:
+        c = counts[x]
+        group = groups[c]
+        rank = group.index(x)
+        positions.append(higher[c] + rank + 1)
+        moves.append(rank)
+        del group[rank]
+        c += 1
+        counts[x] = c
+        if c == len(groups):
+            groups.append([])
+            higher.append(0)
+        groups[c].append(x)
+        higher[c - 1] += 1
+    return positions, moves, [x for group in reversed(groups) for x in group]
+
+
+_STEPS = {"static": _static, "mtf": _mtf, "transpose": _transpose, "fc": _fc}
 
 
 def run_classic(
@@ -42,40 +117,18 @@ def run_classic(
     if model.kind == "centralized" and algorithm != "static":
         raise Unsupported("only the static algorithm is defined under the centralized model")
     require_valid(workload)
-    ordering = list(workload.list.elements)
-    counts = {e: 0 for e in ordering}
-    l = len(ordering)
+    positions, moves, ordering = _STEPS[algorithm](workload)
+    l = workload.list.l
+    free = ExchangeKind.FREE_ELIGIBLE
     access = 0
     exchange = 0
     trace: list[StepEvent] = []
-    for t, x in enumerate(workload.requests.requests, start=1):
-        try:
-            idx = ordering.index(x)
-        except ValueError:
-            raise NotInList(x) from None
-        i = idx + 1
+    append = trace.append
+    for t, x, i, m in zip(count(1), workload.requests.requests, positions, moves):
+        # Looked up as module globals on every request, so that callers
+        # can wrap the cost functions to watch each step.
         step_access = access_cost(model, i, l)
-        moves = 0
-        if algorithm == "mtf":
-            if idx > 0:
-                del ordering[idx]
-                ordering.insert(0, x)
-            moves = idx
-        elif algorithm == "transpose":
-            if idx > 0:
-                ordering[idx - 1], ordering[idx] = ordering[idx], ordering[idx - 1]
-                moves = 1
-        elif algorithm == "fc":
-            counts[x] += 1
-            # Overtake strictly smaller counts only; ties keep their order.
-            j = idx
-            while j > 0 and counts[ordering[j - 1]] < counts[x]:
-                j -= 1
-            if j != idx:
-                del ordering[idx]
-                ordering.insert(j, x)
-            moves = idx - j
         access += step_access
-        exchange += exchange_cost(model, ExchangeKind.FREE_ELIGIBLE, moves)
-        trace.append(StepEvent(t, x, "list", i, step_access, transpositions=moves))
+        exchange += exchange_cost(model, free, m)
+        append(StepEvent(t, x, "list", i, step_access, (), (), (), (), m))
     return CostBreakdown(access=access, exchange=exchange), trace, ordering

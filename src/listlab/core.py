@@ -127,8 +127,20 @@ def validate_workload(w: Workload) -> ValidationReport:
     """Report every violation that would leave an engine undefined.
 
     A request sequence shorter than the list is legal for every engine
-    here, so it is only warned about.
+    here, so it is only warned about. The report is cached on the
+    workload object, so the CLI's check and every engine's check of one
+    workload validate it once; any other object, even one built by
+    dataclasses.replace from it, is validated afresh.
     """
+    report = w.__dict__.get("_report")
+    if report is None:
+        report = _validation_report(w)
+        # Frozen dataclass: write past __setattr__, as RequestSequence.diagonals does.
+        w.__dict__["_report"] = report
+    return report
+
+
+def _validation_report(w: Workload) -> ValidationReport:
     errors: list[str] = []
     warnings: list[str] = []
     if w.list.l == 0:

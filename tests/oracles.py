@@ -10,7 +10,17 @@ from itertools import combinations, permutations
 from math import inf
 from operator import add
 
-from listlab import CostBreakdown, StepEvent
+from listlab import (
+    CLASSIC_ALGORITHMS,
+    CostBreakdown,
+    ExchangeKind,
+    NotInList,
+    StepEvent,
+    Unsupported,
+    access_cost,
+    exchange_cost,
+)
+from listlab.core import require_valid
 
 
 def static_full_total(elements, requests):
@@ -28,6 +38,57 @@ def mtf_full_total(elements, requests):
         order.remove(x)
         order.insert(0, x)
     return total
+
+
+def run_classic_reference(algorithm, model, workload):
+    """The classical algorithms as plain scans over one list.
+
+    Every access looks up its position with list.index, and fc walks back
+    through the elements of equal or smaller count one by one. Returns
+    (breakdown, events, final ordering) like run_classic.
+    """
+    if algorithm not in CLASSIC_ALGORITHMS:
+        raise Unsupported(f"unknown algorithm {algorithm!r}")
+    if model.kind == "centralized" and algorithm != "static":
+        raise Unsupported("only the static algorithm is defined under the centralized model")
+    require_valid(workload)
+    ordering = list(workload.list.elements)
+    counts = {e: 0 for e in ordering}
+    l = len(ordering)
+    access = 0
+    exchange = 0
+    trace = []
+    for t, x in enumerate(workload.requests.requests, start=1):
+        try:
+            idx = ordering.index(x)
+        except ValueError:
+            raise NotInList(x) from None
+        i = idx + 1
+        step_access = access_cost(model, i, l)
+        moves = 0
+        if algorithm == "mtf":
+            if idx > 0:
+                del ordering[idx]
+                ordering.insert(0, x)
+            moves = idx
+        elif algorithm == "transpose":
+            if idx > 0:
+                ordering[idx - 1], ordering[idx] = ordering[idx], ordering[idx - 1]
+                moves = 1
+        elif algorithm == "fc":
+            counts[x] += 1
+            # Overtake strictly smaller counts only; ties keep their order.
+            j = idx
+            while j > 0 and counts[ordering[j - 1]] < counts[x]:
+                j -= 1
+            if j != idx:
+                del ordering[idx]
+                ordering.insert(j, x)
+            moves = idx - j
+        access += step_access
+        exchange += exchange_cost(model, ExchangeKind.FREE_ELIGIBLE, moves)
+        trace.append(StepEvent(t, x, "list", i, step_access, transpositions=moves))
+    return CostBreakdown(access=access, exchange=exchange), trace, ordering
 
 
 @lru_cache(maxsize=None)

@@ -34,6 +34,27 @@ def workloads(draw, max_l=8, max_n=24, buffers=(0, 1, 2, 3, 5)):
 
 
 @st.composite
+def skewed_workloads(draw, max_l=60, max_n=200):
+    """Workloads whose requests favour a hot prefix of the list.
+
+    Some rounds over a shuffled hot prefix come first and give its
+    elements equal counts (large ties, in an order unlike the list's).
+    Half the remaining requests fall on the hot prefix and half anywhere,
+    so a few elements build long count chains and many are never
+    requested.
+    """
+    l = draw(st.integers(1, max_l))
+    elements = list_elements(l)
+    hot = draw(st.integers(1, l))
+    rounds = draw(st.integers(0, 3))
+    idxs = draw(st.permutations(range(hot))) * rounds
+    tail = draw(st.integers(0, max_n - min(len(idxs), max_n)))
+    draws = draw(st.lists(st.integers(0, 2 * l - 1), min_size=tail, max_size=tail))
+    idxs = idxs[:max_n] + [v if v < l else v % hot for v in draws]
+    return make_workload(elements, (elements[i] for i in idxs), 0)
+
+
+@st.composite
 def text_workloads(draw):
     """Workloads over arbitrary tokens, for file format round-trips."""
     elements = draw(unique_token_lists)

@@ -10,12 +10,15 @@ from listlab import (
     PARTIAL,
     InvalidWorkload,
     Unsupported,
+    generate,
     make_workload,
+    model_token,
     pd,
     run_classic,
+    spec_from_dist_token,
 )
-from oracles import mtf_full_total, opt_full_total, static_full_total
-from support import tokens, workloads
+from oracles import mtf_full_total, opt_full_total, run_classic_reference, static_full_total
+from support import skewed_workloads, tokens, workloads
 
 
 def _workload(elements, requests):
@@ -52,6 +55,18 @@ def test_fc_overtakes_smaller_counts_only():
     assert breakdown.total == 3
     assert ordering == ["B", "A", "C"]
     assert [ev.transpositions for ev in trace] == [1, 0]
+
+
+def test_fc_ties_keep_arrival_order():
+    # C overtakes A and B; A then ties with C and stays behind it; D
+    # overtakes B only; A's second access puts it ahead of C and D.
+    breakdown, trace, ordering = run_classic(
+        "fc", FULL, _workload("A B C D".split(), "C A D A".split())
+    )
+    assert [ev.position for ev in trace] == [3, 2, 4, 2]
+    assert [ev.transpositions for ev in trace] == [2, 0, 1, 1]
+    assert breakdown.total == 11
+    assert ordering == ["A", "C", "D", "B"]
 
 
 def test_static_partial_two_accesses():
@@ -207,3 +222,20 @@ def test_offline_optimum_ignores_element_names(w, data):
     rename = dict(zip(elements, names))
     renamed = [rename[x] for x in w.requests.requests]
     assert opt_full_total(names, renamed) == opt_full_total(elements, w.requests.requests)
+
+
+@pytest.mark.parametrize("algorithm", CLASSIC_ALGORITHMS)
+@given(w=skewed_workloads())
+def test_engine_matches_plain_scan_reference(algorithm, w):
+    models = [FULL, PARTIAL, pd(2)] + ([CENTRALIZED] if algorithm == "static" else [])
+    for model in models:
+        expected = run_classic_reference(algorithm, model, w)
+        assert run_classic(algorithm, model, w) == expected, model_token(model)
+
+
+@pytest.mark.parametrize("algorithm", CLASSIC_ALGORITHMS)
+def test_wide_list_matches_plain_scan_reference(algorithm):
+    # l = 5000: fc's group of unrequested elements stays large for the
+    # whole run, and its tie groups grow long.
+    w = generate(spec_from_dist_token("uniform", 5000, 5000, 11), 0)
+    assert run_classic(algorithm, FULL, w) == run_classic_reference(algorithm, FULL, w)

@@ -1,7 +1,10 @@
+import dataclasses
+
 import pytest
 from hypothesis import given
 
 from listlab import (
+    FULL,
     InvalidWorkload,
     ListConfig,
     NotInList,
@@ -10,11 +13,14 @@ from listlab import (
     make_workload,
     parse_workload,
     position,
+    run_classic,
     serialize_workload,
     serve_amr,
     spec_from_dist_token,
     validate_workload,
 )
+from listlab import core
+from listlab.cli import main
 from listlab.core import require_valid
 from support import text_workloads, unique_token_lists
 
@@ -104,6 +110,36 @@ def test_require_valid_lists_all_violations():
     assert "duplicate element A" in message
     assert "Z not in list" in message
     assert "negative buffer" in message
+
+
+def test_invalid_workload_is_rejected_on_every_call():
+    w = make_workload("A B".split(), ["Z"], 0)
+    for _ in range(2):
+        with pytest.raises(InvalidWorkload):
+            run_classic("static", FULL, w)
+        with pytest.raises(InvalidWorkload):
+            serve_amr(w)
+    # The cached report belongs to one object: a copy with a bad field
+    # is checked afresh.
+    valid = make_workload("A B".split(), ["A"], 0)
+    assert validate_workload(valid).ok
+    broken = dataclasses.replace(valid, buffer_capacity=-1)
+    assert validate_workload(broken).errors == ("negative buffer capacity -1",)
+    with pytest.raises(InvalidWorkload):
+        serve_amr(broken)
+
+
+def test_compare_validates_its_workload_once(tmp_path, monkeypatch, capsys):
+    checked = []
+    check = core._validation_report
+    monkeypatch.setattr(core, "_validation_report", lambda w: checked.append(w) or check(w))
+    path = tmp_path / "demo.workload"
+    path.write_text("list: A B C\nbuffer: 1\nrequests: C B C A\n", encoding="utf-8")
+    argv = ["compare", "--workload", str(path), "--algorithm", "static,mtf,transpose,fc,amr",
+            "--model", "full,partial"]
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 4 * 2 + 1
+    assert len(checked) == 1
 
 
 def test_parse_basic():

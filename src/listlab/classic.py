@@ -20,6 +20,7 @@ across swaps, and fc keeps the list as groups of equal access count.
 
 from __future__ import annotations
 
+import gc
 from itertools import count, repeat
 
 from .core import Workload, require_valid
@@ -117,18 +118,29 @@ def run_classic(
     if model.kind == "centralized" and algorithm != "static":
         raise Unsupported("only the static algorithm is defined under the centralized model")
     require_valid(workload)
-    positions, moves, ordering = _STEPS[algorithm](workload)
-    l = workload.list.l
-    free = ExchangeKind.FREE_ELIGIBLE
-    access = 0
-    exchange = 0
-    trace: list[StepEvent] = []
-    append = trace.append
-    for t, x, i, m in zip(count(1), workload.requests.requests, positions, moves):
-        # Looked up as module globals on every request, so that callers
-        # can wrap the cost functions to watch each step.
-        step_access = access_cost(model, i, l)
-        access += step_access
-        exchange += exchange_cost(model, free, m)
-        append(StepEvent(t, x, "list", i, step_access, (), (), (), (), m))
+    # The run allocates n events and no cycles, and every event lives
+    # until the call returns, so a collection during the run frees
+    # nothing. With the collector on, the events set off about one pass
+    # per 700 of them and now and then a full pass over the whole heap,
+    # whose cost varies from call to call.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        positions, moves, ordering = _STEPS[algorithm](workload)
+        l = workload.list.l
+        free = ExchangeKind.FREE_ELIGIBLE
+        access = 0
+        exchange = 0
+        trace: list[StepEvent] = []
+        append = trace.append
+        for t, x, i, m in zip(count(1), workload.requests.requests, positions, moves):
+            # Looked up as module globals on every request, so that callers
+            # can wrap the cost functions to watch each step.
+            step_access = access_cost(model, i, l)
+            access += step_access
+            exchange += exchange_cost(model, free, m)
+            append(StepEvent(t, x, "list", i, step_access, (), (), (), (), m))
+    finally:
+        if collecting:
+            gc.enable()
     return CostBreakdown(access=access, exchange=exchange), trace, ordering

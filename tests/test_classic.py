@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import pytest
@@ -102,6 +103,19 @@ def test_unknown_algorithm_rejected():
 def test_invalid_workload_rejected():
     with pytest.raises(InvalidWorkload):
         run_classic("mtf", FULL, _workload("A B".split(), ["Z"]))
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_collector_state_restored(collecting, demonstration):
+    # run_classic pauses the cyclic garbage collector while it builds
+    # the events; the caller's setting must hold again afterwards.
+    was = gc.isenabled()
+    try:
+        gc.enable() if collecting else gc.disable()
+        run_classic("fc", FULL, demonstration)
+        assert gc.isenabled() == collecting
+    finally:
+        gc.enable() if was else gc.disable()
 
 
 def test_mtf_agrees_with_reference_replay(demonstration):

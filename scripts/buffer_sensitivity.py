@@ -7,7 +7,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from listlab import FULL, generate, run_classic, serve_amr, spec_from_dist_token
+from listlab import generate, spec_from_dist_token
+from listlab.cli import run_pair
 
 
 def main() -> int:
@@ -29,13 +30,13 @@ def main() -> int:
     # Every capacity shares one list and request sequence, and with them
     # the indices the amr engine caches on them.
     generated = generate(spec, buffer_capacity=0)
-    baseline, _, _ = run_classic("static", FULL, generated)
+    baseline, _ = run_pair("static", None, generated)
     print(f"# dist={args.dist} list-size={args.list_size} length={args.length} seed={args.seed}")
     print(f"# static/full baseline total={baseline.total}")
     print("buffer\taccess\tmatching\treplacement\ttotal")
     for capacity in range(args.max_buffer + 1):
-        b, _ = serve_amr(replace(generated, buffer_capacity=capacity))
-        print(f"{capacity}\t{b.access}\t{b.matching}\t{b.replacement}\t{b.total}")
+        r, _ = run_pair("amr", None, replace(generated, buffer_capacity=capacity))
+        print(f"{capacity}\t{r.access}\t{r.matching}\t{r.replacement}\t{r.total}")
     return 0
 
 

@@ -13,7 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from listlab import CLASSIC_ALGORITHMS, generate, spec_from_dist_token
-from listlab.cli import CliError, ComparisonRow, rows_to_csv, run_pair, split_tokens
+from listlab.cli import CliError, rows_to_csv, run_pair, split_tokens
 
 
 def main() -> int:
@@ -50,8 +50,8 @@ def main() -> int:
             for capacity in buffers:
                 w = replace(generated, buffer_capacity=capacity)
                 for algorithm in ("amr", *CLASSIC_ALGORITHMS):
-                    model, breakdown, _ = run_pair(algorithm, None, w)
-                    rows.append(ComparisonRow.from_run(algorithm, model, breakdown, w, seed=seed))
+                    row, _ = run_pair(algorithm, None, w)
+                    rows.append(row._replace(seed=seed))
     text = rows_to_csv(rows)
     if args.output:
         try:

@@ -24,7 +24,7 @@ from .core import (
     serialize_workload,
     validate_workload,
 )
-from .costs import FULL, CostBreakdown, CostModel, Unsupported, model_token, parse_model_token
+from .costs import FULL, CostModel, Unsupported, model_token, parse_model_token
 from .workloads import InvalidSpec, generate, spec_from_dist_token
 
 ALGORITHM_TOKENS = CLASSIC_ALGORITHMS + ("amr",)
@@ -52,29 +52,6 @@ class ComparisonRow(NamedTuple):
     l: int
     buffer: int
     seed: int | None = None
-
-    @classmethod
-    def from_run(
-        cls,
-        algorithm: str,
-        model: str,
-        breakdown: CostBreakdown,
-        workload: Workload,
-        seed: int | None = None,
-    ) -> "ComparisonRow":
-        return cls(
-            algorithm=algorithm,
-            model=model,
-            access=breakdown.access,
-            matching=breakdown.matching,
-            replacement=breakdown.replacement,
-            exchange=breakdown.exchange,
-            total=breakdown.total,
-            n=workload.requests.n,
-            l=workload.list.l,
-            buffer=workload.buffer_capacity,
-            seed=seed,
-        )
 
 
 CSV_HEADER = ComparisonRow._fields
@@ -139,39 +116,37 @@ def _parse_model(token: str) -> CostModel:
 
 
 def run_pair(algorithm: str, model: CostModel | None, w: Workload):
-    """Run one (algorithm, model) pair; returns (model token, breakdown, events).
+    """Run one (algorithm, model) pair; returns (ComparisonRow, events).
 
     A model of None means the amr engine's own accounting, reported as
-    model "amr", or the full model for a classical algorithm. Raises
-    Unsupported for a pair that is not defined, such as amr with a model.
+    model "amr", or the full model for a classical algorithm. The row's
+    seed is None. Raises Unsupported for a pair that is not defined,
+    such as amr with a model.
     """
     if algorithm == "amr":
         if model is not None:
             raise Unsupported("the amr engine carries its own cost model; drop --model")
-        breakdown, events = serve_amr(w)
-        return "amr", breakdown, events
-    model = FULL if model is None else model
-    breakdown, events, _ = run_classic(algorithm, model, w)
-    return model_token(model), breakdown, events
+        mtok = "amr"
+        b, events = serve_amr(w)
+    else:
+        model = FULL if model is None else model
+        mtok = model_token(model)
+        b, events, _ = run_classic(algorithm, model, w)
+    return ComparisonRow(algorithm, mtok, b.access, b.matching, b.replacement, b.exchange,
+                         b.total, w.requests.n, w.list.l, w.buffer_capacity), events
 
 
 def cmd_run(args) -> int:
     model = None if args.model is None else _parse_model(args.model)
-    w = _load_workload(args.workload)
-    mtok, breakdown, events = run_pair(args.algorithm, model, w)
+    row, events = run_pair(args.algorithm, model, _load_workload(args.workload))
+    print(f"algorithm={row.algorithm} model={row.model} n={row.n} l={row.l} buffer={row.buffer}")
     print(
-        f"algorithm={args.algorithm} model={mtok} "
-        f"n={w.requests.n} l={w.list.l} buffer={w.buffer_capacity}"
-    )
-    print(
-        f"access={breakdown.access} matching={breakdown.matching} "
-        f"replacement={breakdown.replacement} exchange={breakdown.exchange} "
-        f"total={breakdown.total}"
+        f"access={row.access} matching={row.matching} replacement={row.replacement} "
+        f"exchange={row.exchange} total={row.total}"
     )
     if args.trace:
         _write(args.trace, (format_trace_line(ev) + "\n" for ev in events))
     if args.csv:
-        row = ComparisonRow.from_run(args.algorithm, mtok, breakdown, w)
         _write(args.csv, [rows_to_csv([row])])
     return 0
 
@@ -196,11 +171,9 @@ def cmd_compare(args) -> int:
         # amr ignores the model list and runs once.
         for model in [None] if a == "amr" else models:
             try:
-                mtok, breakdown, _ = run_pair(a, model, w)
+                rows.append(run_pair(a, model, w)[0])
             except Unsupported as exc:
                 print(f"skip {a} under {model_token(model)}: {exc}", file=sys.stderr)
-                continue
-            rows.append(ComparisonRow.from_run(a, mtok, breakdown, w))
     rows.sort(key=lambda r: (r.algorithm, r.model))
     text = rows_to_csv(rows)
     sys.stdout.write(text)
@@ -247,8 +220,8 @@ PAPER_EXAMPLES = (
 def cmd_paper_examples(args) -> int:
     passed = 0
     for name, w, algorithm, expected in PAPER_EXAMPLES:
-        _, breakdown, _ = run_pair(algorithm, None, w)
-        actual = {key: getattr(breakdown, key) for key in expected}
+        row, _ = run_pair(algorithm, None, w)
+        actual = {key: getattr(row, key) for key in expected}
         detail = ", ".join(f"{key} expected={want} actual={actual[key]}"
                            for key, want in expected.items())
         ok = actual == expected

@@ -44,8 +44,9 @@ class ListConfig:
     @cached_property
     def positions(self) -> dict[str, int]:
         """Element -> 1-based position; the first occurrence wins, as with
-        tuple.index. Built on first use and shared by every caller, so
-        it must not be mutated; it never enters == or hash()."""
+        tuple.index, and validation relies on that to name a duplicate's
+        first position. Built on first use and shared by every caller,
+        so it must not be mutated; it never enters == or hash()."""
         return dict(zip(reversed(self.elements), range(self.l, 0, -1)))
 
 
@@ -145,16 +146,14 @@ def _validation_report(w: Workload) -> ValidationReport:
     warnings: list[str] = []
     if w.list.l == 0:
         errors.append("empty list")
-    seen: dict[str, int] = {}
+    pos = w.list.positions
     for idx, e in enumerate(w.list.elements, start=1):
         if not _valid_token(e):
             errors.append(f"bad element token at list position {idx}: {e!r}")
-        if e in seen:
-            errors.append(f"duplicate element {e} (list positions {seen[e]} and {idx})")
-        else:
-            seen[e] = idx
+        if pos[e] != idx:
+            errors.append(f"duplicate element {e} (list positions {pos[e]} and {idx})")
     for idx, r in enumerate(w.requests.requests, start=1):
-        if r not in seen:
+        if r not in pos:
             errors.append(f"request {idx}: {r} not in list")
     if w.buffer_capacity < 0:
         errors.append(f"negative buffer capacity {w.buffer_capacity}")

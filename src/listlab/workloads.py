@@ -131,8 +131,9 @@ def generate(spec: GeneratorSpec, buffer_capacity: int = 3) -> Workload:
         out: list[str] = []
         while len(out) < n:
             e = elements[rng.below(spec.list_size)]
-            out.extend([e] * spec.run_length)
-        requests = tuple(out[:n])
+            # A run may be longer than the whole sequence; cap it at what is left.
+            out.extend([e] * min(spec.run_length, n - len(out)))
+        requests = tuple(out)
     return Workload(ListConfig(elements), RequestSequence(requests), buffer_capacity)
 
 

@@ -121,7 +121,9 @@ TRACE_KEYS = (
 @given(w=workloads())
 def test_every_engine_steps_through_one_record(w):
     for algorithm in ALGORITHM_TOKENS:  # the classical ones under full
-        _, breakdown, events = run_pair(algorithm, None, w)
+        row, events = run_pair(algorithm, None, w)
+        assert row[:2] == (algorithm, "amr" if algorithm == "amr" else "full")
+        assert row[-4:] == (w.requests.n, w.list.l, w.buffer_capacity, None)
         assert [ev.t for ev in events] == list(range(1, w.requests.n + 1))
         if algorithm == "amr":
             assert all(ev.transpositions == 0 for ev in events)
@@ -135,7 +137,7 @@ def test_every_engine_steps_through_one_record(w):
             assert tuple(key for key, _ in fields) == TRACE_KEYS
             assert [value for _, value in fields[:5]] == [str(v) for v in ev[:5]]
             cost += int(fields[4][1])
-        assert cost == breakdown.access
+        assert cost == row.access
 
 
 def test_run_writes_single_row_csv(demo_path, tmp_path):

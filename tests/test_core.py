@@ -75,9 +75,13 @@ def test_validate_short_sequence_warns_but_passes():
 
 
 def test_validate_duplicate_element():
-    report = validate_workload(make_workload("A A B".split(), ["A"], 0))
-    assert not report.ok
-    assert any("duplicate element A" in e for e in report.errors)
+    # Each duplicate names the element's first position.
+    report = validate_workload(make_workload("A B A A".split(), "A Z".split(), 1))
+    assert report.errors == (
+        "duplicate element A (list positions 1 and 3)",
+        "duplicate element A (list positions 1 and 4)",
+        "request 2: Z not in list",
+    )
 
 
 def test_validate_request_not_in_list():

@@ -29,6 +29,11 @@ CASES = {
         "run", "--workload", "{golden}/reverse-eleven.workload", "--algorithm", "mtf",
         "--model", "full", "--trace", "{trace}",
     ],
+    # exchange 20: run's stdout and CSV with a nonzero exchange
+    "run-transpose-pd2-demonstration": [
+        "run", "--workload", "{golden}/demonstration.workload", "--algorithm", "transpose",
+        "--model", "pd:2", "--csv", "{csv}",
+    ],
     "compare-demonstration": [
         "compare", "--workload", "{golden}/demonstration.workload",
         "--algorithm", "static,mtf,transpose,fc,amr",

@@ -91,6 +91,12 @@ def test_burst_blocks_are_constant():
     assert len(requests) == 18  # final block truncated
 
 
+def test_burst_run_longer_than_the_sequence_is_capped():
+    # 10**20 does not fit a list repeat count; the run is cut at n instead.
+    spec = spec_from_dist_token("burst:99999999999999999999", list_size=3, length=2, seed=0)
+    assert generate(spec).requests.requests == ("B", "B")
+
+
 def test_zipf_front_rank_dominates_back_rank():
     spec = GeneratorSpec("zipf", list_size=10, length=10000, seed=42, zipf_skew=1.2)
     w = generate(spec)

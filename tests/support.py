@@ -34,7 +34,7 @@ def workloads(draw, max_l=8, max_n=24, buffers=(0, 1, 2, 3, 5)):
 
 
 @st.composite
-def skewed_workloads(draw, max_l=60, max_n=200):
+def skewed_workloads(draw, max_l=60, max_n=200, min_l=1):
     """Workloads whose requests favour a hot prefix of the list.
 
     Some rounds over a shuffled hot prefix come first and give its
@@ -43,7 +43,7 @@ def skewed_workloads(draw, max_l=60, max_n=200):
     so a few elements build long count chains and many are never
     requested.
     """
-    l = draw(st.integers(1, max_l))
+    l = draw(st.integers(min_l, max_l))
     elements = list_elements(l)
     hot = draw(st.integers(1, l))
     rounds = draw(st.integers(0, 3))

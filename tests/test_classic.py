@@ -1,5 +1,7 @@
 import gc
+from bisect import bisect_left
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -18,6 +20,7 @@ from listlab import (
     run_classic,
     spec_from_dist_token,
 )
+from listlab import classic
 from oracles import mtf_full_total, opt_full_total, run_classic_reference, static_full_total
 from support import skewed_workloads, tokens, workloads
 
@@ -31,6 +34,16 @@ def test_mtf_reverse_order_costs_121(reverse_eleven):
     assert breakdown.access == 121
     assert breakdown.exchange == 0
     assert breakdown.total == 121
+
+
+def test_mtf_reverse_order_costs_l_squared():
+    # Each request asks for the element at the back, so every access costs
+    # l and the list ends as it began; at l = 200 mtf bisects stamps.
+    w = generate(spec_from_dist_token("reverse", 200, 200, 0), 0)
+    assert w.list.l > classic.SCAN_MAX
+    breakdown, _, ordering = run_classic("mtf", FULL, w)
+    assert breakdown.access == breakdown.total == 200**2
+    assert ordering == list(w.list.elements)
 
 
 def test_mtf_repeated_tail_element():
@@ -249,7 +262,25 @@ def test_engine_matches_plain_scan_reference(algorithm, w):
 
 @pytest.mark.parametrize("algorithm", CLASSIC_ALGORITHMS)
 def test_wide_list_matches_plain_scan_reference(algorithm):
-    # l = 5000: fc's group of unrequested elements stays large for the
-    # whole run, and its tie groups grow long.
+    # l = 5000, above both scan cutoffs: fc's group of unrequested
+    # elements stays large for the whole run, and its tie groups grow long.
     w = generate(spec_from_dist_token("uniform", 5000, 5000, 11), 0)
     assert run_classic(algorithm, FULL, w) == run_classic_reference(algorithm, FULL, w)
+
+
+_CUTOFFS = {"mtf": classic.SCAN_MAX, "fc": classic.FC_SCAN_MAX}
+
+
+@pytest.mark.parametrize("algorithm", sorted(_CUTOFFS))
+@given(data=st.data())
+def test_scan_cutoff_both_sides_match_reference(algorithm, data):
+    # Lists of exactly the cutoff are scanned; one element more and every
+    # access bisects the stamps once.
+    cutoff = _CUTOFFS[algorithm]
+    for l, bisections in ((cutoff, 0), (cutoff + 1, 1)):
+        w = data.draw(skewed_workloads(min_l=l, max_l=l, max_n=150))
+        with mock.patch.object(classic, "bisect_left", wraps=bisect_left) as bisect:
+            for model in (FULL, PARTIAL, pd(2)):
+                expected = run_classic_reference(algorithm, model, w)
+                assert run_classic(algorithm, model, w) == expected, (l, model_token(model))
+        assert bisect.call_count == 3 * bisections * w.requests.n

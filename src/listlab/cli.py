@@ -1,7 +1,7 @@
 """Command-line harness: run, compare, gen, paper-examples.
 
-Exit codes: 0 success, 2 input error, 3 unsupported algorithm/model
-pair. Identical invocations produce byte-identical stdout, CSV and
+Exit codes: 0 success, 1 a paper-examples mismatch, 2 input error,
+3 unsupported algorithm/model pair. Identical invocations produce byte-identical stdout, CSV and
 trace output.
 """
 

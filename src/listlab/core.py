@@ -98,6 +98,11 @@ class Workload:
     requests: RequestSequence
     buffer_capacity: int
 
+    @cached_property
+    def report(self) -> ValidationReport:
+        """Built on first use; a dataclasses.replace copy builds its own."""
+        return _validation_report(self)
+
 
 def make_workload(elements, requests, buffer_capacity: int) -> Workload:
     """Build a Workload from element-token iterables."""
@@ -128,17 +133,11 @@ def validate_workload(w: Workload) -> ValidationReport:
     """Report every violation that would leave an engine undefined.
 
     A request sequence shorter than the list is legal for every engine
-    here, so it is only warned about. The report is cached on the
-    workload object, so the CLI's check and every engine's check of one
-    workload validate it once; any other object, even one built by
-    dataclasses.replace from it, is validated afresh.
+    here, so it is only warned about. The report is cached as
+    Workload.report, so the CLI's check and every engine's check of one
+    workload object validate it once.
     """
-    report = w.__dict__.get("_report")
-    if report is None:
-        report = _validation_report(w)
-        # Frozen dataclass: write past __setattr__, as RequestSequence.diagonals does.
-        w.__dict__["_report"] = report
-    return report
+    return w.report
 
 
 def _validation_report(w: Workload) -> ValidationReport:

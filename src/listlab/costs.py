@@ -64,7 +64,7 @@ def parse_model_token(token: str) -> CostModel:
         return CostModel("pd", d)
     if sep:
         raise ValueError(f"model {name!r} takes no argument")
-    if name not in ("full", "partial", "centralized"):
+    if name not in MODEL_KINDS:
         raise ValueError(f"unknown cost model token {token!r}")
     return CostModel(name)
 

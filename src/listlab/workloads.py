@@ -8,6 +8,7 @@ then E27, E28, ...
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -54,10 +55,11 @@ DISTRIBUTIONS = ("uniform", "zipf", "burst", "reverse")
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """What to generate.
+    """What to generate; a spec that names no workload raises InvalidSpec
+    when it is built, dataclasses.replace copies included.
 
     length may be omitted for reverse (it is forced to list_size);
-    zipf_skew is required for zipf, run_length for burst.
+    a finite zipf_skew is required for zipf, run_length for burst.
     """
 
     dist: str
@@ -66,6 +68,29 @@ class GeneratorSpec:
     seed: int = 0
     zipf_skew: float | None = None
     run_length: int | None = None
+
+    def __post_init__(self):
+        if self.dist not in DISTRIBUTIONS:
+            raise InvalidSpec(f"unknown distribution {self.dist!r}")
+        if self.list_size < 1:
+            raise InvalidSpec(f"list size must be >= 1, got {self.list_size}")
+        if not 0 <= self.seed <= _MASK64:
+            raise InvalidSpec(f"seed must be in 0..{_MASK64}, got {self.seed}")
+        if self.dist == "reverse":
+            if self.length is not None and self.length != self.list_size:
+                raise InvalidSpec(
+                    f"reverse emits exactly one request per element; "
+                    f"length {self.length} != list size {self.list_size}"
+                )
+            return
+        if self.length is None:
+            raise InvalidSpec(f"{self.dist} needs a length")
+        if self.length < 0:
+            raise InvalidSpec(f"length must be >= 0, got {self.length}")
+        if self.dist == "zipf" and (self.zipf_skew is None or not 0 < self.zipf_skew < math.inf):
+            raise InvalidSpec(f"zipf needs a finite skew > 0, got {self.zipf_skew}")
+        if self.dist == "burst" and (self.run_length is None or self.run_length < 1):
+            raise InvalidSpec(f"burst needs run length >= 1, got {self.run_length}")
 
 
 def element_name(pos: int) -> str:
@@ -78,34 +103,9 @@ def list_elements(list_size: int) -> tuple[str, ...]:
     return tuple(element_name(p) for p in range(1, list_size + 1))
 
 
-def _validated_length(spec: GeneratorSpec) -> int:
-    if spec.dist not in DISTRIBUTIONS:
-        raise InvalidSpec(f"unknown distribution {spec.dist!r}")
-    if spec.list_size < 1:
-        raise InvalidSpec(f"list size must be >= 1, got {spec.list_size}")
-    if not 0 <= spec.seed <= _MASK64:
-        raise InvalidSpec(f"seed must be in 0..{_MASK64}, got {spec.seed}")
-    if spec.dist == "reverse":
-        if spec.length is not None and spec.length != spec.list_size:
-            raise InvalidSpec(
-                f"reverse emits exactly one request per element; "
-                f"length {spec.length} != list size {spec.list_size}"
-            )
-        return spec.list_size
-    if spec.length is None:
-        raise InvalidSpec(f"{spec.dist} needs a length")
-    if spec.length < 0:
-        raise InvalidSpec(f"length must be >= 0, got {spec.length}")
-    if spec.dist == "zipf" and (spec.zipf_skew is None or not spec.zipf_skew > 0):
-        raise InvalidSpec(f"zipf needs skew > 0, got {spec.zipf_skew}")
-    if spec.dist == "burst" and (spec.run_length is None or spec.run_length < 1):
-        raise InvalidSpec(f"burst needs run length >= 1, got {spec.run_length}")
-    return spec.length
-
-
 def generate(spec: GeneratorSpec, buffer_capacity: int = 3) -> Workload:
     """Deterministic workload for the spec; same seed, same sequence."""
-    n = _validated_length(spec)
+    n = spec.list_size if spec.dist == "reverse" else spec.length
     if buffer_capacity < 0:
         raise InvalidSpec(f"buffer capacity must be >= 0, got {buffer_capacity}")
     elements = list_elements(spec.list_size)
@@ -163,7 +163,7 @@ def spec_from_dist_token(
             raise InvalidSpec(f"distribution {name!r} takes no argument")
     else:
         raise InvalidSpec(f"unknown distribution {token!r}")
-    spec = GeneratorSpec(
+    return GeneratorSpec(
         dist=name,
         list_size=list_size,
         length=length,
@@ -171,5 +171,3 @@ def spec_from_dist_token(
         zipf_skew=zipf_skew,
         run_length=run_length,
     )
-    _validated_length(spec)
-    return spec

@@ -279,6 +279,15 @@ def test_gen_zipf_zero_skew_is_a_usage_error(tmp_path, capsys):
     assert "skew" in capsys.readouterr().err
 
 
+def test_gen_zipf_infinite_skew_is_a_usage_error(capsys):
+    code = main(["gen", "--dist", "zipf:inf", "--list-size", "5", "--length", "10"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "skew" in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_gen_writes_to_stdout_without_output_flag(capsys):
     assert main(["gen", "--dist", "reverse", "--list-size", "3"]) == 0
     captured = capsys.readouterr()

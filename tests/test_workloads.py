@@ -1,3 +1,4 @@
+import dataclasses
 from collections import Counter
 
 import pytest
@@ -116,6 +117,8 @@ def test_generate_rejects_bad_specs():
     with pytest.raises(InvalidSpec):
         generate(GeneratorSpec("zipf", list_size=3, length=5, zipf_skew=None))
     with pytest.raises(InvalidSpec):
+        generate(GeneratorSpec("zipf", list_size=3, length=5, zipf_skew=float("inf")))
+    with pytest.raises(InvalidSpec):
         generate(GeneratorSpec("burst", list_size=3, length=5, run_length=0))
     with pytest.raises(InvalidSpec):
         generate(GeneratorSpec("bogus", list_size=3, length=5))
@@ -139,11 +142,20 @@ def test_dist_token_parsing():
 
 @pytest.mark.parametrize(
     "token",
-    ["zipf", "zipf:x", "zipf:0", "zipf:-1", "burst", "burst:0", "burst:x", "uniform:3", "reverse:1", "bogus"],
+    ["zipf", "zipf:x", "zipf:0", "zipf:-1", "zipf:inf", "zipf:1e400", "zipf:nan",
+     "burst", "burst:0", "burst:x", "uniform:3", "reverse:1", "bogus"],
 )
 def test_dist_token_errors(token):
     with pytest.raises(InvalidSpec):
         spec_from_dist_token(token, list_size=4, length=10, seed=0)
+
+
+def test_replace_copies_are_checked():
+    valid = GeneratorSpec("uniform", list_size=3, length=5)
+    with pytest.raises(InvalidSpec, match="list size"):
+        dataclasses.replace(valid, list_size=0)
+    with pytest.raises(InvalidSpec, match="seed"):
+        dataclasses.replace(valid, seed=2**64)
 
 
 def test_buffer_capacity_passthrough():

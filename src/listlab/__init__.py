@@ -22,7 +22,6 @@ from .core import (
     NotInList,
     ParseError,
     RequestSequence,
-    ValidationReport,
     Workload,
     make_workload,
     parse_workload,

@@ -28,7 +28,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .core import ListConfig, RequestSequence, Workload, position, require_valid
+from .core import ListConfig, RequestSequence, Workload, position
 from .costs import CostBreakdown, StepEvent
 
 
@@ -203,7 +203,6 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, list[StepEvent]]:
     unflagged request is always served from the list, even when its
     element happens to be buffered.
     """
-    require_valid(workload)
     lst = workload.list
     requests = workload.requests
     buffer = Buffer(workload.buffer_capacity)

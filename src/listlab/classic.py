@@ -28,7 +28,7 @@ import gc
 from bisect import bisect_left
 from itertools import count, repeat
 
-from .core import Workload, require_valid
+from .core import Workload
 from .costs import (
     CostBreakdown,
     CostModel,
@@ -63,7 +63,8 @@ FC_SCAN_MAX = 256
 
 def _static(workload: Workload):
     pos = workload.list.positions
-    return [pos[x] for x in workload.requests.requests], repeat(0), list(workload.list.elements)
+    requests = workload.requests.requests
+    return [pos[x] for x in requests], repeat(0, len(requests)), list(workload.list.elements)
 
 
 def _mtf(workload: Workload):
@@ -194,7 +195,6 @@ def run_classic(
         raise Unsupported(f"unknown algorithm {algorithm!r}")
     if model.kind == "centralized" and algorithm != "static":
         raise Unsupported("only the static algorithm is defined under the centralized model")
-    require_valid(workload)
     # The run allocates n events and no cycles, and every event lives
     # until the call returns, so a collection during the run frees
     # nothing. With the collector on, the events set off about one pass

@@ -16,7 +16,11 @@ from typing import NamedTuple
 
 from .amr import serve_amr
 from .classic import CLASSIC_ALGORITHMS, run_classic
+# validate_workload is not called here: Workload checks itself when it is
+# built. The import stays because perfbench/tracer.py wraps
+# cli.validate_workload by name.
 from .core import (
+    InvalidWorkload,
     ParseError,
     Workload,
     make_workload,
@@ -31,11 +35,7 @@ ALGORITHM_TOKENS = CLASSIC_ALGORITHMS + ("amr",)
 
 
 class CliError(Exception):
-    """Carries the process exit code alongside the diagnostic."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
+    """An input error; main prints it as one error: line and exits 2."""
 
 
 class ComparisonRow(NamedTuple):
@@ -88,23 +88,23 @@ def _write(path: str, chunks) -> None:
         with open(path, "w", encoding="utf-8") as out:
             out.writelines(chunks)
     except OSError as exc:
-        raise CliError(2, f"cannot write {path}: {exc}") from None
+        raise CliError(f"cannot write {path}: {exc}") from None
 
 
 def _load_workload(path: str) -> Workload:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        raise CliError(2, f"cannot read {path}: {exc}") from None
+        raise CliError(f"cannot read {path}: {exc}") from None
     try:
         w = parse_workload(text)
     except ParseError as exc:
-        raise CliError(2, f"{path}: {exc}") from None
-    report = validate_workload(w)
-    for msg in report.warnings:
-        print(f"warning: {msg}", file=sys.stderr)
-    if not report.ok:
-        raise CliError(2, f"{path}: invalid workload: " + "; ".join(report.errors))
+        raise CliError(f"{path}: {exc}") from None
+    except InvalidWorkload as exc:
+        raise CliError(f"{path}: invalid workload: {exc}") from None
+    n, l = w.requests.n, w.list.l
+    if n < l:  # legal for every engine, so only warned about
+        print(f"warning: request sequence shorter than list (n={n} < l={l})", file=sys.stderr)
     return w
 
 
@@ -112,7 +112,7 @@ def _parse_model(token: str) -> CostModel:
     try:
         return parse_model_token(token)
     except ValueError as exc:
-        raise CliError(2, str(exc)) from None
+        raise CliError(str(exc)) from None
 
 
 def run_pair(algorithm: str, model: CostModel | None, w: Workload):
@@ -155,7 +155,7 @@ def split_tokens(raw: str, what: str) -> list[str]:
     """Comma-separated tokens; a value that names none, "" or ",", is an error."""
     tokens = [tok for tok in raw.split(",") if tok]
     if not tokens:
-        raise CliError(2, f"--{what} {raw!r} names no token")
+        raise CliError(f"--{what} {raw!r} names no token")
     return tokens
 
 
@@ -163,7 +163,7 @@ def cmd_compare(args) -> int:
     algorithms = split_tokens(args.algorithm, "algorithm")
     for a in algorithms:
         if a not in ALGORITHM_TOKENS:
-            raise CliError(2, f"unknown algorithm token {a!r}")
+            raise CliError(f"unknown algorithm token {a!r}")
     models = [_parse_model(tok) for tok in split_tokens(args.model, "model")]
     w = _load_workload(args.workload)
     rows = []
@@ -189,7 +189,7 @@ def cmd_gen(args) -> int:
         )
         w = generate(spec, buffer_capacity=args.buffer)
     except InvalidSpec as exc:
-        raise CliError(2, str(exc)) from None
+        raise CliError(str(exc)) from None
     text = serialize_workload(w)
     echo = (
         f"dist={args.dist} list-size={spec.list_size} length={w.requests.n} "
@@ -277,7 +277,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        return 2
     except Unsupported as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

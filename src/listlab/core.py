@@ -1,7 +1,10 @@
 """Input list, request sequence, and the workload file format.
 
 Positions are 1-based throughout: the front element of a list has
-position 1, the first request has position 1.
+position 1, the first request has position 1. A Workload checks itself
+when it is built: its list holds distinct element tokens, every request
+names one of them and the buffer capacity is not negative, so the
+engines never check again.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ class ParseError(ValueError):
 
 
 def _valid_token(token: str) -> bool:
-    return len(token) >= 1 and not any(ch.isspace() for ch in token)
+    """Non-empty and free of whitespace, as str.isspace() defines it."""
+    return token.split() == [token]
 
 
 @dataclass(frozen=True)
@@ -94,14 +98,17 @@ class RequestSequence:
 
 @dataclass(frozen=True)
 class Workload:
+    """A list, its requests and a buffer capacity; raises InvalidWorkload
+    when built from fields that break a rule (see validate_workload)."""
+
     list: ListConfig
     requests: RequestSequence
     buffer_capacity: int
 
-    @cached_property
-    def report(self) -> ValidationReport:
-        """Built on first use; a dataclasses.replace copy builds its own."""
-        return _validation_report(self)
+    def __post_init__(self):
+        # Looked up as a module global, so that callers can wrap it to
+        # watch every check.
+        validate_workload(self)
 
 
 def make_workload(elements, requests, buffer_capacity: int) -> Workload:
@@ -119,30 +126,15 @@ def position(lst: ListConfig, x: str) -> int:
         raise NotInList(x) from None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    errors: tuple[str, ...]
-    warnings: tuple[str, ...]
+def validate_workload(w: Workload) -> None:
+    """Raise InvalidWorkload listing every violation that would leave an
+    engine undefined, joined by "; ".
 
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-
-def validate_workload(w: Workload) -> ValidationReport:
-    """Report every violation that would leave an engine undefined.
-
-    A request sequence shorter than the list is legal for every engine
-    here, so it is only warned about. The report is cached as
-    Workload.report, so the CLI's check and every engine's check of one
-    workload object validate it once.
+    Workload.__post_init__ calls it, so every Workload, dataclasses.replace
+    copies included, has passed it. A request sequence shorter than the
+    list is legal for every engine here; only the CLI warns about it.
     """
-    return w.report
-
-
-def _validation_report(w: Workload) -> ValidationReport:
     errors: list[str] = []
-    warnings: list[str] = []
     if w.list.l == 0:
         errors.append("empty list")
     pos = w.list.positions
@@ -151,22 +143,12 @@ def _validation_report(w: Workload) -> ValidationReport:
             errors.append(f"bad element token at list position {idx}: {e!r}")
         if pos[e] != idx:
             errors.append(f"duplicate element {e} (list positions {pos[e]} and {idx})")
-    for idx, r in enumerate(w.requests.requests, start=1):
-        if r not in pos:
-            errors.append(f"request {idx}: {r} not in list")
+    errors += [f"request {idx}: {r} not in list"
+               for idx, r in enumerate(w.requests.requests, start=1) if r not in pos]
     if w.buffer_capacity < 0:
         errors.append(f"negative buffer capacity {w.buffer_capacity}")
-    if not errors and w.requests.n < w.list.l:
-        warnings.append(
-            f"request sequence shorter than list (n={w.requests.n} < l={w.list.l})"
-        )
-    return ValidationReport(tuple(errors), tuple(warnings))
-
-
-def require_valid(w: Workload) -> None:
-    report = validate_workload(w)
-    if not report.ok:
-        raise InvalidWorkload("; ".join(report.errors))
+    if errors:
+        raise InvalidWorkload("; ".join(errors))
 
 
 _KEYS = ("list", "buffer", "requests")
@@ -177,7 +159,8 @@ def parse_workload(text: str) -> Workload:
 
     Lines starting with '#' and blank lines are ignored. Exactly one
     `list:`, one `buffer:` and one `requests:` line must appear, in any
-    order; anything else is a ParseError.
+    order; anything else is a ParseError. A file that parses but breaks
+    a workload rule raises InvalidWorkload.
     """
     found: dict[str, tuple[int, str]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -209,7 +192,7 @@ def parse_workload(text: str) -> Workload:
 
 
 def serialize_workload(w: Workload) -> str:
-    """Canonical text form; parse(serialize(w)) == w for valid workloads."""
+    """Canonical text form; parse(serialize(w)) == w."""
     return (
         f"list: {' '.join(w.list.elements)}\n"
         f"buffer: {w.buffer_capacity}\n"

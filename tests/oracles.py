@@ -20,7 +20,6 @@ from listlab import (
     access_cost,
     exchange_cost,
 )
-from listlab.core import require_valid
 
 
 def static_full_total(elements, requests):
@@ -51,7 +50,6 @@ def run_classic_reference(algorithm, model, workload):
         raise Unsupported(f"unknown algorithm {algorithm!r}")
     if model.kind == "centralized" and algorithm != "static":
         raise Unsupported("only the static algorithm is defined under the centralized model")
-    require_valid(workload)
     ordering = list(workload.list.elements)
     counts = {e: 0 for e in ordering}
     l = len(ordering)

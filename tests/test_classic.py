@@ -1,6 +1,7 @@
 import gc
 from bisect import bisect_left
 from collections import Counter
+from itertools import islice
 from unittest import mock
 
 import pytest
@@ -114,8 +115,9 @@ def test_unknown_algorithm_rejected():
 
 
 def test_invalid_workload_rejected():
-    with pytest.raises(InvalidWorkload):
-        run_classic("mtf", FULL, _workload("A B".split(), ["Z"]))
+    # Building the workload raises, so no engine ever sees it.
+    with pytest.raises(InvalidWorkload, match="^request 1: Z not in list$"):
+        _workload("A B".split(), ["Z"])
 
 
 @pytest.mark.parametrize("collecting", [True, False])
@@ -284,3 +286,15 @@ def test_scan_cutoff_both_sides_match_reference(algorithm, data):
                 expected = run_classic_reference(algorithm, model, w)
                 assert run_classic(algorithm, model, w) == expected, (l, model_token(model))
         assert bisect.call_count == 3 * bisections * w.requests.n
+
+
+@pytest.mark.parametrize("algorithm", CLASSIC_ALGORITHMS)
+def test_steps_yield_one_move_per_request(algorithm):
+    # At and just above both scan cutoffs. islice bounds the count, so an
+    # endless move stream fails here instead of hanging a sum over it.
+    for l in (classic.SCAN_MAX, classic.SCAN_MAX + 1, classic.FC_SCAN_MAX, classic.FC_SCAN_MAX + 1):
+        w = generate(spec_from_dist_token("uniform", l, 300, l), 0)
+        positions, moves, ordering = classic._STEPS[algorithm](w)
+        assert len(positions) == 300, l
+        assert sum(1 for _ in islice(moves, 301)) == 300, l
+        assert sorted(ordering) == sorted(w.list.elements), l

@@ -71,7 +71,7 @@ def test_run_malformed_file(tmp_path, capsys):
     path = tmp_path / "bad.workload"
     path.write_text("list: A B\nrequests: A\n", encoding="utf-8")
     assert main(["run", "--workload", str(path), "--algorithm", "amr"]) == 2
-    assert "missing 'buffer:' line" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {path}: line 0: missing 'buffer:' line\n"
 
 
 def test_run_invalid_workload(tmp_path, capsys):

@@ -2,9 +2,14 @@ import dataclasses
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from listlab import (
+    CENTRALIZED,
+    CLASSIC_ALGORITHMS,
     FULL,
+    PARTIAL,
+    CostBreakdown,
     InvalidWorkload,
     ListConfig,
     NotInList,
@@ -12,6 +17,7 @@ from listlab import (
     generate,
     make_workload,
     parse_workload,
+    pd,
     position,
     run_classic,
     serialize_workload,
@@ -21,8 +27,7 @@ from listlab import (
 )
 from listlab import core
 from listlab.cli import main
-from listlab.core import require_valid
-from support import text_workloads, unique_token_lists
+from support import text_workloads, tokens, unique_token_lists
 
 NINE = tuple("A B C D E F G H I".split())
 
@@ -68,75 +73,74 @@ def test_position_is_a_bijection(elements):
     assert [position(lst, e) for e in elements] == list(range(1, len(elements) + 1))
 
 
-def test_validate_short_sequence_warns_but_passes():
-    report = validate_workload(make_workload("A B C".split(), "B A".split(), 1))
-    assert report.ok
-    assert any("n=2 < l=3" in w for w in report.warnings)
+def _violations(elements, requests, capacity):
+    with pytest.raises(InvalidWorkload) as exc:
+        make_workload(elements, requests, capacity)
+    return str(exc.value).split("; ")
+
+
+def test_validate_short_sequence_warns_but_passes(tmp_path, capsys):
+    # Legal for every engine, so building it raises nothing; only the
+    # CLI warns.
+    w = make_workload("A B C".split(), "B A".split(), 1)
+    validate_workload(w)
+    path = tmp_path / "short.workload"
+    path.write_text(serialize_workload(w), encoding="utf-8")
+    assert main(["run", "--workload", str(path), "--algorithm", "static"]) == 0
+    assert capsys.readouterr().err == "warning: request sequence shorter than list (n=2 < l=3)\n"
 
 
 def test_validate_duplicate_element():
     # Each duplicate names the element's first position.
-    report = validate_workload(make_workload("A B A A".split(), "A Z".split(), 1))
-    assert report.errors == (
+    assert _violations("A B A A".split(), "A Z".split(), 1) == [
         "duplicate element A (list positions 1 and 3)",
         "duplicate element A (list positions 1 and 4)",
         "request 2: Z not in list",
-    )
+    ]
 
 
 def test_validate_request_not_in_list():
-    report = validate_workload(make_workload("A B".split(), ["C"], 2))
-    assert not report.ok
-    assert any("C not in list" in e for e in report.errors)
+    assert _violations("A B".split(), ["C"], 2) == ["request 1: C not in list"]
 
 
 def test_validate_empty_list():
-    report = validate_workload(make_workload((), (), 0))
-    assert not report.ok
-    assert "empty list" in report.errors
+    assert _violations((), (), 0) == ["empty list"]
 
 
 def test_validate_negative_buffer():
-    report = validate_workload(make_workload(("A",), ("A",), -1))
-    assert not report.ok
+    assert _violations(("A",), ("A",), -1) == ["negative buffer capacity -1"]
 
 
 def test_validate_bad_token():
-    report = validate_workload(make_workload(("A", "B C"), (), 0))
-    assert not report.ok
+    assert _violations(("A", "B C"), (), 0) == ["bad element token at list position 2: 'B C'"]
 
 
-def test_require_valid_lists_all_violations():
-    w = make_workload("A A".split(), ["Z"], -2)
-    with pytest.raises(InvalidWorkload) as exc:
-        require_valid(w)
-    message = str(exc.value)
-    assert "duplicate element A" in message
-    assert "Z not in list" in message
-    assert "negative buffer" in message
+def test_invalid_workload_lists_all_violations():
+    assert _violations("A A".split(), ["Z"], -2) == [
+        "duplicate element A (list positions 1 and 2)",
+        "request 1: Z not in list",
+        "negative buffer capacity -2",
+    ]
 
 
 def test_invalid_workload_is_rejected_on_every_call():
-    w = make_workload("A B".split(), ["Z"], 0)
+    # Every way of building a Workload checks it, every time.
     for _ in range(2):
         with pytest.raises(InvalidWorkload):
-            run_classic("static", FULL, w)
-        with pytest.raises(InvalidWorkload):
-            serve_amr(w)
-    # The cached report belongs to one object: a copy with a bad field
-    # is checked afresh.
+            make_workload("A B".split(), ["Z"], 0)
+        with pytest.raises(InvalidWorkload, match="^duplicate element A"):
+            parse_workload("list: A A\nbuffer: 1\nrequests: A\n")
     valid = make_workload("A B".split(), ["A"], 0)
-    assert validate_workload(valid).ok
-    broken = dataclasses.replace(valid, buffer_capacity=-1)
-    assert validate_workload(broken).errors == ("negative buffer capacity -1",)
-    with pytest.raises(InvalidWorkload):
-        serve_amr(broken)
+    with pytest.raises(InvalidWorkload, match="^negative buffer capacity -1$"):
+        dataclasses.replace(valid, buffer_capacity=-1)
+    with pytest.raises(InvalidWorkload, match="^request 1: A not in list$"):
+        dataclasses.replace(valid, list=ListConfig(("B",)))
 
 
 def test_compare_validates_its_workload_once(tmp_path, monkeypatch, capsys):
     checked = []
-    check = core._validation_report
-    monkeypatch.setattr(core, "_validation_report", lambda w: checked.append(w) or check(w))
+    check = core.validate_workload
+    monkeypatch.setattr(core, "validate_workload", lambda w: checked.append(w) or check(w))
     path = tmp_path / "demo.workload"
     path.write_text("list: A B C\nbuffer: 1\nrequests: C B C A\n", encoding="utf-8")
     argv = ["compare", "--workload", str(path), "--algorithm", "static,mtf,transpose,fc,amr",
@@ -156,6 +160,7 @@ def test_parse_basic():
 def test_parse_missing_buffer_line():
     with pytest.raises(ParseError) as exc:
         parse_workload("list: A B C\nrequests: C\n")
+    assert exc.value.line_no == 0
     assert "buffer" in str(exc.value)
 
 
@@ -204,11 +209,59 @@ def test_parse_serialize_round_trip(w):
     assert parse_workload(serialize_workload(w)) == w
 
 
-@given(text_workloads())
-def test_validation_gates_exactly_what_engines_accept(w):
-    from listlab import FULL, run_classic, serve_amr
+# Tokens that break the rules: empty, or with whitespace inside or around.
+bad_tokens = st.sampled_from(["", " ", "A B", "\t", "C\n", "\u3000"]) | st.text(max_size=3)
 
-    report = validate_workload(w)
-    assert report.ok  # valid by construction
-    serve_amr(w)
-    run_classic("static", FULL, w)
+
+@st.composite
+def raw_inputs(draw):
+    """List, requests and capacity that may break every workload rule.
+
+    Each draw first picks which rules its inputs may break; about a fifth
+    of the draws break none."""
+    pool = tokens | bad_tokens if draw(st.booleans()) else tokens
+    elements = draw(st.lists(pool, max_size=6, unique=draw(st.booleans())))
+    if elements and draw(st.booleans()):
+        pool = st.sampled_from(elements)
+    return elements, draw(st.lists(pool, max_size=10)), draw(st.integers(-1, 4))
+
+
+def expected_violations(elements, requests, capacity):
+    """The workload rules, worked out without listlab, in report order."""
+    errors = []
+    if not elements:
+        errors.append("empty list")
+    first = {}
+    for idx, e in enumerate(elements, start=1):
+        if e == "" or any(ch.isspace() for ch in e):
+            errors.append(f"bad element token at list position {idx}: {e!r}")
+        first.setdefault(e, idx)
+        if first[e] != idx:
+            errors.append(f"duplicate element {e} (list positions {first[e]} and {idx})")
+    for j, r in enumerate(requests, start=1):
+        if r not in first:
+            errors.append(f"request {j}: {r} not in list")
+    if capacity < 0:
+        errors.append(f"negative buffer capacity {capacity}")
+    return errors
+
+
+@given(raw_inputs())
+def test_validation_gates_exactly_what_engines_accept(raw):
+    expected = expected_violations(*raw)
+    if expected:
+        with pytest.raises(InvalidWorkload) as exc:
+            make_workload(*raw)
+        assert str(exc.value) == "; ".join(expected)
+        return
+    w = make_workload(*raw)
+    assert isinstance(serve_amr(w)[0], CostBreakdown)
+    for algorithm in CLASSIC_ALGORITHMS:
+        for model in (FULL, PARTIAL, pd(2)):
+            assert isinstance(run_classic(algorithm, model, w)[0], CostBreakdown)
+    assert isinstance(run_classic("static", CENTRALIZED, w)[0], CostBreakdown)
+
+
+@given(st.text())
+def test_valid_token_is_nonempty_and_free_of_whitespace(t):
+    assert core._valid_token(t) == (len(t) >= 1 and not any(ch.isspace() for ch in t))

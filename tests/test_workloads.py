@@ -77,8 +77,7 @@ def test_uniform_is_seed_deterministic():
 )
 def test_generated_workloads_are_valid(spec):
     w = generate(spec)
-    report = validate_workload(w)
-    assert report.ok
+    validate_workload(w)  # raises InvalidWorkload on any violation
     assert set(w.requests.requests) <= set(w.list.elements)
 
 

@@ -7,8 +7,8 @@ import argparse
 import sys
 from dataclasses import replace
 
-from listlab import generate, spec_from_dist_token
 from listlab.cli import run_pair
+from listlab.workloads import generate, spec_from_dist_token
 
 
 def main() -> int:

@@ -12,8 +12,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from listlab import CLASSIC_ALGORITHMS, generate, spec_from_dist_token
+from listlab.classic import CLASSIC_ALGORITHMS
 from listlab.cli import CliError, rows_to_csv, run_pair, split_tokens
+from listlab.workloads import generate, spec_from_dist_token
 
 
 def main() -> int:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -91,6 +92,17 @@ def _write(path: str, chunks) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
+def _distinct_paths(workload: str, **outputs: str | None) -> None:
+    """Reject an output path that names the workload or another output."""
+    seen = {os.path.realpath(workload): "--workload"}
+    for flag, path in outputs.items():
+        if path:
+            key = os.path.realpath(path)
+            if key in seen:
+                raise CliError(f"--{flag} {path} names the same file as {seen[key]}")
+            seen[key] = f"--{flag}"
+
+
 def _load_workload(path: str) -> Workload:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -137,6 +149,7 @@ def run_pair(algorithm: str, model: CostModel | None, w: Workload):
 
 
 def cmd_run(args) -> int:
+    _distinct_paths(args.workload, trace=args.trace, csv=args.csv)
     model = None if args.model is None else _parse_model(args.model)
     row, events = run_pair(args.algorithm, model, _load_workload(args.workload))
     print(f"algorithm={row.algorithm} model={row.model} n={row.n} l={row.l} buffer={row.buffer}")
@@ -160,6 +173,7 @@ def split_tokens(raw: str, what: str) -> list[str]:
 
 
 def cmd_compare(args) -> int:
+    _distinct_paths(args.workload, csv=args.csv)
     algorithms = split_tokens(args.algorithm, "algorithm")
     for a in algorithms:
         if a not in ALGORITHM_TOKENS:

@@ -10,11 +10,11 @@ from itertools import combinations, permutations
 from math import inf
 from operator import add
 
-from listlab import (
-    CLASSIC_ALGORITHMS,
+from listlab.classic import CLASSIC_ALGORITHMS
+from listlab.core import NotInList
+from listlab.costs import (
     CostBreakdown,
     ExchangeKind,
-    NotInList,
     StepEvent,
     Unsupported,
     access_cost,

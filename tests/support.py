@@ -6,8 +6,8 @@ import string
 
 from hypothesis import strategies as st
 
-from listlab import make_workload
 from listlab.cli import CSV_HEADER, ComparisonRow
+from listlab.core import make_workload
 from listlab.workloads import list_elements
 
 TOKEN_CHARS = string.ascii_uppercase + string.ascii_lowercase + string.digits + "_-.@"

@@ -6,17 +6,12 @@ import functools
 import itertools
 import time
 
-from listlab import (
-    FULL,
-    PARTIAL,
-    GeneratorSpec,
-    generate,
-    make_workload,
-    run_classic,
-    serve_amr,
-)
+from listlab.amr import serve_amr
+from listlab.classic import run_classic
 from listlab.cli import main
-from listlab.workloads import list_elements
+from listlab.core import make_workload
+from listlab.costs import FULL, PARTIAL
+from listlab.workloads import GeneratorSpec, generate, list_elements
 from oracles import matchless, replay_amr_trace
 from support import rows_from_csv
 

@@ -5,29 +5,28 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from listlab import (
-    FULL,
+from listlab import amr
+from listlab.amr import (
+    SCAN_MAX,
     Buffer,
-    InvalidWorkload,
-    ListConfig,
     LookaheadWindow,
-    RequestSequence,
-    StepEvent,
-    Workload,
-    amr,
     buffer_insert,
-    generate,
     lookahead_window,
-    make_workload,
     match_parallel,
-    position,
-    run_classic,
     serve_amr,
     set_flags,
-    spec_from_dist_token,
 )
-from listlab.amr import SCAN_MAX
-from listlab.workloads import list_elements
+from listlab.classic import run_classic
+from listlab.core import (
+    InvalidWorkload,
+    ListConfig,
+    RequestSequence,
+    Workload,
+    make_workload,
+    position,
+)
+from listlab.costs import FULL, StepEvent
+from listlab.workloads import generate, list_elements, spec_from_dist_token
 from oracles import (
     best_retained,
     flagged_positions,

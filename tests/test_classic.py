@@ -7,21 +7,11 @@ from unittest import mock
 import pytest
 from hypothesis import given, strategies as st
 
-from listlab import (
-    CENTRALIZED,
-    CLASSIC_ALGORITHMS,
-    FULL,
-    PARTIAL,
-    InvalidWorkload,
-    Unsupported,
-    generate,
-    make_workload,
-    model_token,
-    pd,
-    run_classic,
-    spec_from_dist_token,
-)
 from listlab import classic
+from listlab.classic import CLASSIC_ALGORITHMS, run_classic
+from listlab.core import InvalidWorkload, make_workload
+from listlab.costs import CENTRALIZED, FULL, PARTIAL, Unsupported, model_token, pd
+from listlab.workloads import generate, spec_from_dist_token
 from oracles import mtf_full_total, opt_full_total, run_classic_reference, static_full_total
 from support import skewed_workloads, tokens, workloads
 

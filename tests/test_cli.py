@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from listlab import serialize_workload
 from listlab.cli import (
     ALGORITHM_TOKENS,
     PAPER_EXAMPLES,
@@ -11,6 +10,7 @@ from listlab.cli import (
     rows_to_csv,
     run_pair,
 )
+from listlab.core import serialize_workload
 from oracles import static_full_total
 from support import rows_from_csv, workloads
 
@@ -315,7 +315,7 @@ def test_gen_rejects_out_of_range_values(extra, tmp_path, capsys):
 def test_gen_output_parses_back(tmp_path, capsys):
     out_path = tmp_path / "z.workload"
     main(["gen", "--dist", "zipf:1.2", "--list-size", "8", "--length", "50", "--seed", "5", "-o", str(out_path)])
-    from listlab import parse_workload
+    from listlab.core import parse_workload
 
     w = parse_workload(out_path.read_text(encoding="utf-8"))
     assert w.requests.n == 50
@@ -381,6 +381,27 @@ def test_io_failure_is_one_error_line_and_exit_two(argv, demo_path, tmp_path, ca
     assert main([arg.format(**paths) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--workload", "demo.workload", "--algorithm", "amr", "--trace", "demo.workload"],
+        ["run", "--workload", "demo.workload", "--algorithm", "amr", "--csv", "./demo.workload"],
+        ["compare", "--workload", "demo.workload", "--algorithm", "mtf", "--csv", "demo.workload"],
+        ["run", "--workload", "demo.workload", "--algorithm", "amr", "--trace", "t", "--csv", "t"],
+    ],
+    ids=["run-trace-is-workload", "run-csv-is-workload", "compare-csv-is-workload",
+         "run-trace-is-csv"],
+)
+def test_colliding_paths_exit_two_before_any_write(argv, demo_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (tmp_path / "demo.workload").read_bytes() == DEMO.encode()
+    assert not (tmp_path / "t").exists()
 
 
 # --- CSV round trip ----------------------------------------------------------

@@ -4,29 +4,23 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from listlab import (
-    CENTRALIZED,
-    CLASSIC_ALGORITHMS,
-    FULL,
-    PARTIAL,
-    CostBreakdown,
+from listlab import core
+from listlab.amr import serve_amr
+from listlab.classic import CLASSIC_ALGORITHMS, run_classic
+from listlab.cli import main
+from listlab.core import (
     InvalidWorkload,
     ListConfig,
     NotInList,
     ParseError,
-    generate,
     make_workload,
     parse_workload,
-    pd,
     position,
-    run_classic,
     serialize_workload,
-    serve_amr,
-    spec_from_dist_token,
     validate_workload,
 )
-from listlab import core
-from listlab.cli import main
+from listlab.costs import CENTRALIZED, FULL, PARTIAL, CostBreakdown, pd
+from listlab.workloads import generate, spec_from_dist_token
 from support import text_workloads, tokens, unique_token_lists
 
 NINE = tuple("A B C D E F G H I".split())

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from listlab import (
+from listlab.costs import (
     CENTRALIZED,
     FULL,
     PARTIAL,

@@ -3,7 +3,8 @@ from collections import Counter
 
 import pytest
 
-from listlab import (
+from listlab.core import validate_workload
+from listlab.workloads import (
     GeneratorSpec,
     InvalidSpec,
     SplitMix64,
@@ -11,7 +12,6 @@ from listlab import (
     generate,
     list_elements,
     spec_from_dist_token,
-    validate_workload,
 )
 
 # Published reference outputs for the splitmix64 stream seeded with 0.

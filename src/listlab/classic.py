@@ -20,6 +20,11 @@ over the list, fc over the group of elements with the accessed one's
 count. On longer lists both stamp each element with the time of its
 last access and find it by bisecting a sorted list of stamps: the whole
 list read back to front for mtf, one count group for fc.
+
+The step functions serve the list alone; run_classic then does the
+accounting. It evaluates each cost function once per distinct position
+and move count, not once per request, reads every step's cost from
+those tables, and builds all n events in one pass.
 """
 
 from __future__ import annotations
@@ -57,14 +62,15 @@ SCAN_MAX = 32
 FC_SCAN_MAX = 256
 
 # One function per algorithm serves the requests against the list alone
-# and returns the 1-based access positions, the transpositions of each
-# step and the final ordering; run_classic does the cost accounting.
+# and returns the 1-based access positions and the transpositions of
+# each step, as lists because run_classic reads them twice, and the final
+# ordering; run_classic does the cost accounting.
 
 
 def _static(workload: Workload):
     pos = workload.list.positions
     requests = workload.requests.requests
-    return [pos[x] for x in requests], repeat(0, len(requests)), list(workload.list.elements)
+    return [pos[x] for x in requests], [0] * len(requests), list(workload.list.elements)
 
 
 def _mtf(workload: Workload):
@@ -206,18 +212,21 @@ def run_classic(
         positions, moves, ordering = _STEPS[algorithm](workload)
         l = workload.list.l
         free = ExchangeKind.FREE_ELIGIBLE
-        access = 0
-        exchange = 0
-        trace: list[StepEvent] = []
-        append = trace.append
-        for t, x, i, m in zip(count(1), workload.requests.requests, positions, moves):
-            # Looked up as module globals on every request, so that callers
-            # can wrap the cost functions to watch each step.
-            step_access = access_cost(model, i, l)
-            access += step_access
-            exchange += exchange_cost(model, free, m)
-            append(StepEvent(t, x, "list", i, step_access, (), (), (), (), m))
+        # The cost functions are pure, so each is evaluated once per
+        # distinct argument and every step reads its cost from the table.
+        # They are looked up as module globals, so that callers can wrap
+        # them to watch the accounting.
+        access_of = {i: access_cost(model, i, l) for i in set(positions)}.__getitem__
+        exchange_of = {m: exchange_cost(model, free, m) for m in set(moves)}.__getitem__
+        costs = list(map(access_of, positions))
+        # One pass builds every event: tuple.__new__ makes a StepEvent
+        # straight from its fields, without a Python call per request.
+        trace: list[StepEvent] = list(map(tuple.__new__, repeat(StepEvent), zip(
+            count(1), workload.requests.requests, repeat("list"), positions, costs,
+            repeat(()), repeat(()), repeat(()), repeat(()), moves,
+        )))
+        breakdown = CostBreakdown(access=sum(costs), exchange=sum(map(exchange_of, moves)))
     finally:
         if collecting:
             gc.enable()
-    return CostBreakdown(access=access, exchange=exchange), trace, ordering
+    return breakdown, trace, ordering

@@ -10,7 +10,18 @@ from hypothesis import given, strategies as st
 from listlab import classic
 from listlab.classic import CLASSIC_ALGORITHMS, run_classic
 from listlab.core import InvalidWorkload, make_workload
-from listlab.costs import CENTRALIZED, FULL, PARTIAL, Unsupported, model_token, pd
+from listlab.costs import (
+    CENTRALIZED,
+    FULL,
+    PARTIAL,
+    OutOfRange,
+    StepEvent,
+    Unsupported,
+    access_cost,
+    exchange_cost,
+    model_token,
+    pd,
+)
 from listlab.workloads import generate, spec_from_dist_token
 from oracles import mtf_full_total, opt_full_total, run_classic_reference, static_full_total
 from support import skewed_workloads, tokens, workloads
@@ -261,6 +272,8 @@ def test_wide_list_matches_plain_scan_reference(algorithm):
 
 
 _CUTOFFS = {"mtf": classic.SCAN_MAX, "fc": classic.FC_SCAN_MAX}
+# At and just above both scan cutoffs.
+_WIDTHS = (classic.SCAN_MAX, classic.SCAN_MAX + 1, classic.FC_SCAN_MAX, classic.FC_SCAN_MAX + 1)
 
 
 @pytest.mark.parametrize("algorithm", sorted(_CUTOFFS))
@@ -280,11 +293,55 @@ def test_scan_cutoff_both_sides_match_reference(algorithm, data):
 
 @pytest.mark.parametrize("algorithm", CLASSIC_ALGORITHMS)
 def test_steps_yield_one_move_per_request(algorithm):
-    # At and just above both scan cutoffs. islice bounds the count, so an
-    # endless move stream fails here instead of hanging a sum over it.
-    for l in (classic.SCAN_MAX, classic.SCAN_MAX + 1, classic.FC_SCAN_MAX, classic.FC_SCAN_MAX + 1):
+    # islice bounds the count, so an endless move stream fails here
+    # instead of hanging a sum over it.
+    for l in _WIDTHS:
         w = generate(spec_from_dist_token("uniform", l, 300, l), 0)
         positions, moves, ordering = classic._STEPS[algorithm](w)
         assert len(positions) == 300, l
         assert sum(1 for _ in islice(moves, 301)) == 300, l
         assert sorted(ordering) == sorted(w.list.elements), l
+
+
+@pytest.mark.parametrize("algorithm", CLASSIC_ALGORITHMS)
+def test_events_are_step_events(algorithm):
+    # run_classic builds its events with tuple.__new__, which checks
+    # neither the type nor the arity; comparing against the reference
+    # cannot tell a plain tuple from a StepEvent, but trace lines and the
+    # benchmark's checks read events by field.
+    for l in _WIDTHS:
+        w = generate(spec_from_dist_token("zipf:1.2", l, 300, l), 0)
+        for model in (FULL, PARTIAL, pd(2)):
+            _, events, _ = run_classic(algorithm, model, w)
+            assert len(events) == 300, (l, model_token(model))
+            for ev in events:
+                assert type(ev) is StepEvent, (l, model_token(model))
+                assert len(ev) == len(StepEvent._fields), (l, model_token(model))
+            assert [ev.t for ev in events] == list(range(1, 301))
+            assert [ev.element for ev in events] == list(w.requests.requests)
+
+
+@pytest.mark.parametrize("position", [0, 4])
+def test_positions_outside_the_list_are_refused(position):
+    # A step function that reports a position outside 1..l must not
+    # slip through the cost table.
+    w = _workload("A B C".split(), "A B C".split())
+
+    def step(workload):
+        return [1, position, 2], [0, 0, 0], list(workload.list.elements)
+
+    with mock.patch.dict(classic._STEPS, {"static": step}):
+        with pytest.raises(OutOfRange):
+            run_classic("static", FULL, w)
+
+
+@pytest.mark.parametrize("algorithm", CLASSIC_ALGORITHMS)
+def test_costs_are_evaluated_once_per_distinct_argument(algorithm):
+    for l in _WIDTHS:
+        w = generate(spec_from_dist_token("uniform", l, 300, l), 0)
+        positions, moves, _ = classic._STEPS[algorithm](w)
+        with mock.patch.object(classic, "access_cost", wraps=access_cost) as access, \
+                mock.patch.object(classic, "exchange_cost", wraps=exchange_cost) as exchange:
+            run_classic(algorithm, pd(2), w)
+        assert access.call_count == len(set(positions)) <= min(w.requests.n, l), l
+        assert exchange.call_count == len(set(moves)), l

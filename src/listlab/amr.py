@@ -15,43 +15,53 @@ A flagged request whose element still occupies buffer slot p is served
 from the buffer at cost p instead of from the list. Total cost is
 access + matching + replacement.
 
-Short windows are scanned. Long ones read indices cached on the inputs,
-so a list access costs O(matches + flags + residents * log n) rather
-than O(window): positions come from a dict, matches from the request
-sequence bucketed by diagonal j - pos(r_j), and flags from each
-resident's sorted request positions.
+Short windows are scanned, and so are flag windows that are short for
+the number of buffer residents. Long ones read indices cached on the
+inputs, so a list access costs O(matches + flags + residents) plus a
+few bisections, rather than O(window): positions come from a dict,
+matches from the request sequence bucketed by diagonal j - pos(r_j),
+and flags from each resident's cursor on the request sequence's
+next-occurrence chain. The cursors belong to the run's Buffer and only
+move forward, so over a whole run they take at most n steps in all.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
+from typing import NamedTuple
 
 from .core import ListConfig, RequestSequence, Workload, position
 from .costs import CostBreakdown, StepEvent
 
 
 # Look-ahead windows of at most SCAN_MAX requests are scanned position by
-# position, as a plain loop; longer ones read the request sequence's cached
-# indices (RequestSequence.diagonals and .occurrences). Measured with fresh
-# workloads per run (Python 3.11.7 on a shared 2-vCPU Intel Xeon, amr req/s,
-# median of 7-9 runs):
-#   sweep-l10 instances (l=10, n=200): SCAN_MAX 0: 104k, 4: 105k, 8: 105k,
-#     10 or more: 122k; building the indices does not pay off for n=200;
-#   scan-l1000 (uniform, l=1000, n=1e4, buffer 8): 10: 46.2k, 16: 48.3k,
-#     32: 46.8k, 64: 44.5k; scanning every window: 6.6k.
-# Flagging bisects once per buffer resident, and one bisection costs about
-# four scan steps, so set_flags also scans windows up to 4 * residents long
-# (uniform, l=1000, n=5000, buffer 1000: 20k req/s, against 7.8k when
-# only windows up to 1 * residents long were scanned).
+# position; longer ones read the request sequence's cached indices
+# (RequestSequence.diagonals and .chain), except that set_flags scans a
+# window shorter than four positions per buffer resident in one C-level
+# pass. Measured on these paths (Python 3.11.7 on a shared 2-vCPU Intel
+# Xeon, amr req/s, fresh inputs for every run, the variants' runs
+# interleaved; median of 15 runs, of 11 for the per-resident rows and of
+# 31 rounds over the 36 instances for sweep-l10):
+#   SCAN_MAX (4 per resident)            0     8    16    32    64
+#     sweep-l10 (l=10, n=200)         320k  297k  456k  429k  444k
+#     uniform l=1000 n=1e4 buffer 8   130k  130k  125k  121k  114k
+#     uniform l=100 n=1e4 buffer 8    127k  130k  132k  132k   95k
+#     zipf:1.2 l=1000 n=1e4 buffer 8  115k  125k  109k  121k  105k
+#   positions per resident (SCAN_MAX 16)     1     2     4     8
+#     uniform l=1000 n=5000 buffer 1000   29.6k 39.3k 39.3k 39.1k
+#     uniform l=100 n=1e4 buffer 100       358k  420k  453k  440k
+#     zipf:1.2 l=1000 n=1e4 buffer 1000     94k  104k   98k  110k
+#     burst:4 l=1000 n=1e4 buffer 1000      26k   29k   32k   28k
+# l=10 windows are never longer than 10, so SCAN_MAX >= 10 scans them all;
+# differences under about 10% are within the host's run-to-run noise.
 SCAN_MAX = 16
 
 _offset = itemgetter(0)
 
 
-@dataclass(frozen=True)
-class LookaheadWindow:
+class LookaheadWindow(NamedTuple):
     """Request positions start..end inclusive; end < start means empty."""
 
     start: int
@@ -60,7 +70,7 @@ class LookaheadWindow:
 
 def lookahead_window(t: int, i: int, n: int) -> LookaheadWindow:
     """Window of the next i requests after position t, truncated at n."""
-    return LookaheadWindow(t + 1, min(t + i, n))
+    return tuple.__new__(LookaheadWindow, (t + 1, min(t + i, n)))
 
 
 class Buffer:
@@ -72,6 +82,11 @@ class Buffer:
     slot after the newest one, and FIFO eviction visits the slots
     round-robin. The newcomer takes over the evicted slot, so slot
     numbers of the surviving entries never shift.
+
+    The buffer also keeps its run's flag cursors (see cursors): each
+    element's next request position that a window may still reach. They
+    outlive evictions, so an element that comes back resumes where it
+    stopped.
     """
 
     def __init__(self, capacity: int):
@@ -81,6 +96,9 @@ class Buffer:
         self.slots: list[str] = []
         self.resident: dict[str, int] = {}
         self._cursor = 0  # slot index of the oldest entry once full
+        self._flagged: RequestSequence | None = None  # what the cursors walk
+        self._flag_start = 0
+        self._flag_cursors: dict[str, int] = {}
 
     def slot_of(self, element: str) -> int | None:
         return self.resident.get(element)
@@ -103,6 +121,21 @@ class Buffer:
             self._cursor = slot % self.capacity
         self.resident[element] = slot
         return slot, evicted
+
+    def cursors(self, requests: RequestSequence, start: int) -> dict[str, int]:
+        """set_flags' cursors for a window that starts at `start`.
+
+        Maps an element to one of its request positions p (n + 1 when
+        none is left) such that none of its positions lies in start..p-1;
+        an element absent from the map has no request at all. The
+        cursors only move forward, so they are reset to each element's
+        first request when the window start falls below the previous
+        one, and when another request sequence comes in."""
+        if requests is not self._flagged or start < self._flag_start:
+            self._flagged = requests
+            self._flag_cursors = dict(requests.chain[0])
+        self._flag_start = start
+        return self._flag_cursors
 
 
 def match_parallel(
@@ -149,6 +182,8 @@ def buffer_insert(
     evicted are (slot, element) pairs and replacement_count counts
     evictions of pre-existing entries.
     """
+    if not candidates:
+        return [], [], 0
     fresh = [(k, e) for k, e in candidates if e not in buffer.resident]
     fresh = fresh[max(0, len(fresh) - buffer.capacity) :]
     inserted: list[tuple[int, str]] = []
@@ -171,25 +206,48 @@ def set_flags(
     already flagged position is a no-op on the table but still reported.
 
     A window longer than SCAN_MAX and than four positions per resident is
-    not scanned: each resident's request positions are cut to the window
-    by bisection and the pieces are merged in increasing position.
+    not scanned: each resident's cursor (see Buffer.cursors) is moved up
+    to the window start along RequestSequence.chain and followed from
+    there to the window end, and the positions are sorted. A resident
+    with more than core.CHAIN_SKIP positions in the window, which one skip
+    link shows, has them cut from its occurrence list by bisection
+    instead.
     """
-    start, end = window.start, window.end
+    start, end = window
     resident = buffer.resident
-    touched: list[int] = []
-    if end - start < SCAN_MAX or end - start < 4 * len(resident):
+    if end - start < SCAN_MAX:
+        # a plain loop: below SCAN_MAX positions, setting up the C-level
+        # pass of the next branch costs more than it saves
         reqs = requests.requests
+        touched = []
         for j in range(start, end + 1):
             if reqs[j - 1] in resident:
-                flags.add(j)
                 touched.append(j)
-        return touched
-    occurrences = requests.occurrences
-    for e in resident:
-        js = occurrences.get(e, ())
-        lo = bisect_left(js, start)
-        touched += js[lo : bisect_right(js, end, lo)]
-    touched.sort()
+    elif end - start < 4 * len(resident):
+        touched = list(compress(
+            range(start, end + 1), map(resident.__contains__, requests.requests[start - 1 : end])
+        ))
+    else:
+        cursors = buffer.cursors(requests, start)
+        _, nxt, skip = requests.chain
+        stop = len(nxt) - 1
+        touched = []
+        append = touched.append
+        for e in resident:
+            j = cursors.get(e, stop)
+            if j < start:
+                while j < start:
+                    j = nxt[j]
+                cursors[e] = j
+            if skip[j] <= end:  # two bisections cost less than the walk
+                js = requests.occurrences[e]
+                lo = bisect_left(js, j)
+                touched += js[lo : bisect_right(js, end, lo)]
+            else:
+                while j <= end:
+                    append(j)
+                    j = nxt[j]
+        touched.sort()
     flags.update(touched)
     return touched
 
@@ -210,13 +268,17 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, list[StepEvent]]:
     access = matching = replacement = 0
     trace: list[StepEvent] = []
     n = requests.n
+    # tuple.__new__ makes each StepEvent straight from its fields, without
+    # the Python-level NamedTuple constructor.
+    new = tuple.__new__
     for t, x in enumerate(requests.requests, start=1):
-        slot = buffer.slot_of(x) if t in flags else None
-        flags.discard(t)  # flags only ever hold positions after t
-        if slot is not None:
-            access += slot
-            trace.append(StepEvent(t, x, "buffer", slot, slot))
-            continue
+        if t in flags:
+            flags.remove(t)  # flags only ever hold positions after t
+            slot = buffer.slot_of(x)
+            if slot is not None:
+                access += slot
+                trace.append(new(StepEvent, (t, x, "buffer", slot, slot, (), (), (), (), 0)))
+                continue
         i = position(lst, x)
         access += i
         matched = match_parallel(lst, i, requests, t)
@@ -225,18 +287,8 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, list[StepEvent]]:
         replacement += replaced
         window = lookahead_window(t, i, n)
         touched = set_flags(flags, window, buffer, requests)
-        trace.append(
-            StepEvent(
-                t,
-                x,
-                "list",
-                i,
-                i,
-                tuple(matched),
-                tuple(inserted),
-                tuple(evicted),
-                tuple(touched),
-            )
-        )
+        trace.append(new(StepEvent, (
+            t, x, "list", i, i, tuple(matched), tuple(inserted), tuple(evicted), tuple(touched), 0,
+        )))
     breakdown = CostBreakdown(access=access, matching=matching, replacement=replacement)
     return breakdown, trace

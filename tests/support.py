@@ -18,12 +18,12 @@ unique_token_lists = st.lists(tokens, unique=True, min_size=1, max_size=8)
 
 
 @st.composite
-def workloads(draw, max_l=8, max_n=24, buffers=(0, 1, 2, 3, 5)):
+def workloads(draw, max_l=8, max_n=24, buffers=(0, 1, 2, 3, 5), min_l=1):
     """Workloads over position-named elements, valid by construction.
 
     `buffers=None` draws the capacity from 0..l+2.
     """
-    l = draw(st.integers(1, max_l))
+    l = draw(st.integers(min_l, max_l))
     elements = list_elements(l)
     idxs = draw(st.lists(st.integers(0, l - 1), max_size=max_n))
     if buffers is None:

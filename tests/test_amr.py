@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +37,7 @@ from oracles import (
     serve_amr_reference,
     static_full_total,
 )
-from support import workloads
+from support import skewed_workloads, workloads
 
 NINE = ListConfig(tuple("A B C D E F G H I".split()))
 
@@ -351,6 +352,66 @@ def test_long_window_flags_agree_with_plain_scan(data):
     touched = set_flags(flags, window, buf, requests)
     assert touched == flagged_positions(requests.requests, window.start, window.end, residents)
     assert flags == before | set(touched)
+
+
+@settings(max_examples=150)
+@given(
+    w=st.one_of(
+        workloads(min_l=40, max_l=120, max_n=400, buffers=(0,)),
+        skewed_workloads(min_l=40, max_l=120, max_n=400),
+    ),
+    capacity=st.integers(1, 4),
+)
+def test_flag_cursors_survive_a_churning_buffer(w, capacity):
+    # long windows and few residents take the cursor path; a small buffer
+    # evicts and re-inserts elements, whose cursors must resume correctly
+    w = replace(w, buffer_capacity=capacity)
+    assert serve_amr(w) == serve_amr_reference(w)
+
+
+def test_flag_cursors_follow_window_starts_and_sequences(monkeypatch):
+    starts = []
+    cursors = Buffer.cursors
+
+    def recording(buffer, requests, start):
+        starts.append(start)
+        return cursors(buffer, requests, start)
+
+    # every call below must take the cursor path
+    monkeypatch.setattr(Buffer, "cursors", recording)
+    elements = list_elements(50)
+    uniform, skewed = (
+        generate(spec_from_dist_token(dist, 50, 400, 5)).requests
+        for dist in ("uniform", "zipf:1.2")
+    )
+    buf = Buffer(3)
+    # rising starts on one sequence, then another sequence, then earlier starts
+    calls = [(uniform, 1), (uniform, 30), (uniform, 31), (uniform, 200), (skewed, 210),
+             (skewed, 260), (skewed, 20), (uniform, 25), (uniform, 340)]
+    for k, (requests, start) in enumerate(calls):
+        # six elements cycle through three slots, so evicted ones come back
+        buffer_insert(buf, [(k, elements[k % 6])])
+        window = lookahead_window(start - 1, 60, requests.n)
+        flags = set()
+        touched = set_flags(flags, window, buf, requests)
+        expected = flagged_positions(requests.requests, window.start, window.end, buf.resident)
+        assert touched == expected and flags == set(expected)
+    assert starts == [start for _, start in calls]
+
+
+def test_flag_cursors_stay_with_their_run():
+    # as scripts/buffer_sensitivity.py does, every capacity shares one
+    # request sequence; a cursor left on it by one run must not leak
+    for dist in ("uniform", "burst:4"):
+        generated = generate(spec_from_dist_token(dist, 40, 400, 2))
+        l, requests = generated.list.l, generated.requests
+        shared = [serve_amr(replace(generated, buffer_capacity=c)) for c in range(l + 3)]
+        fresh = [
+            serve_amr(make_workload(generated.list.elements, requests.requests, c))
+            for c in range(l + 3)
+        ]
+        assert shared == fresh
+        assert len({breakdown for breakdown, _ in shared}) > 1
 
 
 def test_one_request_sequence_served_against_two_lists():

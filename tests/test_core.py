@@ -9,6 +9,7 @@ from listlab.amr import serve_amr
 from listlab.classic import CLASSIC_ALGORITHMS, run_classic
 from listlab.cli import main
 from listlab.core import (
+    CHAIN_SKIP,
     InvalidWorkload,
     ListConfig,
     NotInList,
@@ -21,7 +22,7 @@ from listlab.core import (
 )
 from listlab.costs import CENTRALIZED, FULL, PARTIAL, CostBreakdown, pd
 from listlab.workloads import generate, spec_from_dist_token
-from support import text_workloads, tokens, unique_token_lists
+from support import text_workloads, tokens, unique_token_lists, workloads
 
 NINE = tuple("A B C D E F G H I".split())
 
@@ -59,6 +60,24 @@ def test_cached_indices_leave_equality_and_hash_unchanged():
     assert (hash(w), hash(w.list), hash(w.requests), repr(w), serialize_workload(w)) == before
     assert (w, w.list, w.requests) == (twin, twin.list, twin.requests)
     assert hash(w) == hash(twin)
+
+
+@given(workloads(max_l=4, max_n=40))
+def test_next_occurrence_chain_follows_each_elements_positions(w):
+    requests = w.requests.requests
+    n = len(requests)
+    first, nxt, skip = w.requests.chain
+    assert first == {e: requests.index(e) + 1 for e in requests}
+    assert len(nxt) == len(skip) == n + 2
+    assert nxt[n + 1] == skip[n + 1] == n + 1
+    for j in range(1, n + 1):
+        later = [k for k in range(j + 1, n + 1) if requests[k - 1] == requests[j - 1]]
+        later += [n + 1] * CHAIN_SKIP
+        assert nxt[j] == later[0]
+        assert skip[j] == later[CHAIN_SKIP - 1]
+    assert w.requests.occurrences == {
+        e: [j for j, r in enumerate(requests, start=1) if r == e] for e in set(requests)
+    }
 
 
 @given(unique_token_lists)

@@ -170,10 +170,19 @@ def validate_workload(w: Workload) -> None:
     copies included, has passed it. A request sequence shorter than the
     list is legal for every engine here; only the CLI warns about it.
     """
+    elements = w.list.elements
+    pos = w.list.positions
+    # Valid input passes with C-level checks alone: the tokens split back
+    # from their join exactly when each passes _valid_token, and pos has
+    # l keys exactly when the elements are distinct. The messages below
+    # are built only for input that fails.
+    if (elements and len(pos) == len(elements) and w.buffer_capacity >= 0
+            and " ".join(elements).split() == list(elements)
+            and pos.keys() >= set(w.requests.requests)):
+        return
     errors: list[str] = []
     if w.list.l == 0:
         errors.append("empty list")
-    pos = w.list.positions
     for idx, e in enumerate(w.list.elements, start=1):
         if not _valid_token(e):
             errors.append(f"bad element token at list position {idx}: {e!r}")

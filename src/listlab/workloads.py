@@ -1,49 +1,97 @@
 """Seeded workload generators.
 
-All randomness comes from an in-package splitmix64 generator, so a given
-spec yields byte-identical sequences on every platform and Python
-version. Elements are named by list position: A..Z for the first 26,
-then E27, E28, ...
+All randomness comes from splitmix64 (Steele, Lea & Flood, OOPSLA 2014),
+so a given spec yields byte-identical sequences on every platform and
+Python version. Output k of the stream seeded with s is a fixed mix of
+s + k * gamma mod 2**64 alone, so the outputs are made in blocks: up to
+BLOCK of them sit in the 128-bit lanes of one Python int, and each step
+of the mix is one whole-int operation (see _block). The distributions
+read the blocks through C-level iterator passes, with no Python call
+per request. Elements are named by list position: A..Z for the first
+26, then E27, E28, ...
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import partial
+from itertools import accumulate, chain, islice, repeat
+from typing import Iterator
 
 from .core import ListConfig, RequestSequence, Workload
 
 _MASK64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+# Outputs per block: the block's int is 16 * BLOCK bytes (64 KiB), and
+# so is each temporary the mix makes.
+BLOCK = 4096
 
 
-class SplitMix64:
-    """splitmix64; the output stream depends only on the 64-bit seed."""
+def _lanes(m: int) -> tuple[int, int, int]:
+    """(ones, masks, steps) over m 128-bit lanes, holding 1, 2**64 - 1 and
+    (i + 1) * gamma in lane i. Built per stream, so that nothing outlives
+    the generate call that needs it."""
+    ones, iota, count = 1, 1, 1  # iota holds i + 1 in lane i
+    while count < m:
+        shift = 128 * count
+        iota |= (iota + count * ones) << shift
+        ones |= ones << shift
+        count *= 2
+    low = (1 << (128 * m)) - 1
+    ones &= low
+    return ones, ones * _MASK64, (iota & low) * _GAMMA
 
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
 
-    def next_u64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+def _block(state: int, m: int, ones: int, masks: int, steps: int) -> array:
+    """The m splitmix64 outputs that follow `state`, as array("Q"), from
+    the constants _lanes(m).
 
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n), bias-free via rejection."""
-        if n <= 0:
-            raise ValueError(f"need n >= 1, got {n}")
-        span = _MASK64 + 1
-        limit = span - span % n
-        while True:
-            v = self.next_u64()
-            if v < limit:
-                return v % n
+    Lane i starts as state + (i + 1) * gamma mod 2**64. Each value stays
+    in the low 64 bits of its lane with zeros above, so a product with a
+    64-bit constant stays inside its lane; a right shift carries the
+    next lane's low bits into the high half, which the mask clears.
+    """
+    z = (state * ones + steps) & masks
+    z = ((z ^ (z >> 30)) & masks) * 0xBF58476D1CE4E5B9 & masks
+    z = ((z ^ (z >> 27)) & masks) * 0x94D049BB133111EB & masks
+    z = (z ^ (z >> 31)) & masks
+    words = array("Q", z.to_bytes(16 * m, "little"))
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words[::2]
 
-    def unit(self) -> float:
-        """Float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
+
+def _blocks(seed: int, first: int) -> Iterator[array]:
+    """The splitmix64 stream of `seed` as blocks, without end: the first
+    holds min(first, BLOCK) outputs, so a short sequence pays for no
+    more lanes than it draws, and every later one BLOCK."""
+    state = seed
+    m = min(first, BLOCK)
+    lanes = _lanes(m)
+    while True:
+        yield _block(state, m, *lanes)
+        state = (state + m * _GAMMA) & _MASK64
+        if m < BLOCK:
+            m = BLOCK
+            lanes = _lanes(m)
+
+
+def splitmix64(seed: int, first: int) -> Iterator[int]:
+    """The splitmix64 outputs of `seed`, without end, made in blocks sized
+    for `first` draws (see _blocks)."""
+    return chain.from_iterable(_blocks(seed, first))
+
+
+def below(draws: Iterator[int], n: int) -> Iterator[int]:
+    """Uniform integers in [0, n) for n >= 1, bias-free: a draw at or above
+    the largest multiple of n that fits in 64 bits is rejected and the
+    next one read."""
+    span = _MASK64 + 1
+    return map(n.__rmod__, filter((span - span % n).__gt__, draws))
 
 
 class InvalidSpec(ValueError):
@@ -100,7 +148,9 @@ def element_name(pos: int) -> str:
 
 
 def list_elements(list_size: int) -> tuple[str, ...]:
-    return tuple(element_name(p) for p in range(1, list_size + 1))
+    """element_name(1), ..., element_name(list_size)."""
+    return (tuple(map(chr, range(ord("A"), ord("A") + min(list_size, 26))))
+            + tuple(f"E{p}" for p in range(27, list_size + 1)))
 
 
 def generate(spec: GeneratorSpec, buffer_capacity: int = 3) -> Workload:
@@ -109,31 +159,30 @@ def generate(spec: GeneratorSpec, buffer_capacity: int = 3) -> Workload:
     if buffer_capacity < 0:
         raise InvalidSpec(f"buffer capacity must be >= 0, got {buffer_capacity}")
     elements = list_elements(spec.list_size)
-    rng = SplitMix64(spec.seed)
+    pick = elements.__getitem__
     if spec.dist == "reverse":
         requests = tuple(reversed(elements))
     elif spec.dist == "uniform":
-        requests = tuple(elements[rng.below(spec.list_size)] for _ in range(n))
+        requests = tuple(islice(map(pick, below(splitmix64(spec.seed, n), spec.list_size)), n))
     elif spec.dist == "zipf":
-        # Inverse-CDF sampling over weights rank**(-skew).
-        cumulative: list[float] = []
-        total = 0.0
-        for rank in range(1, spec.list_size + 1):
-            total += rank ** -spec.zipf_skew
-            cumulative.append(total)
-        picks = []
-        for _ in range(n):
-            u = rng.unit() * total
-            idx = min(bisect_right(cumulative, u), spec.list_size - 1)
-            picks.append(elements[idx])
-        requests = tuple(picks)
+        # Inverse-CDF sampling over weights rank**(-skew): a draw v picks
+        # the first rank whose cumulative weight exceeds u = (v >> 11) *
+        # 2**-53 * total, or the last rank. Scaling either factor by
+        # 2**-53 is exact, so (v >> 11) * (total * 2**-53) rounds the
+        # same product to the same u.
+        cumulative = list(accumulate(map(pow, range(1, spec.list_size + 1),
+                                         repeat(-spec.zipf_skew))))
+        us = map((cumulative.pop() * 2.0**-53).__rmul__,
+                 map((11).__rrshift__, splitmix64(spec.seed, n)))
+        # cumulative lost its last entry, so a u past every bound picks
+        # the last rank.
+        requests = tuple(islice(map(pick, map(partial(bisect_right, cumulative), us)), n))
     else:  # burst
-        out: list[str] = []
-        while len(out) < n:
-            e = elements[rng.below(spec.list_size)]
-            # A run may be longer than the whole sequence; cap it at what is left.
-            out.extend([e] * min(spec.run_length, n - len(out)))
-        requests = tuple(out)
+        # A run may be longer than the whole sequence; cap it at n.
+        run = min(spec.run_length, n)
+        runs = -(-n // run) if n else 0
+        picks = map(pick, below(splitmix64(spec.seed, runs), spec.list_size))
+        requests = tuple(islice(chain.from_iterable(map(repeat, picks, repeat(run))), n))
     return Workload(ListConfig(elements), RequestSequence(requests), buffer_capacity)
 
 

@@ -5,13 +5,14 @@ calling into the engines, so tests can compare two routes to the same
 number.
 """
 
+from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import inf
 from operator import add
 
 from listlab.classic import CLASSIC_ALGORITHMS
-from listlab.core import NotInList
+from listlab.core import ListConfig, NotInList, RequestSequence, Workload
 from listlab.costs import (
     CostBreakdown,
     ExchangeKind,
@@ -20,6 +21,7 @@ from listlab.costs import (
     access_cost,
     exchange_cost,
 )
+from listlab.workloads import InvalidSpec, element_name
 
 
 def static_full_total(elements, requests):
@@ -294,3 +296,71 @@ def replay_amr_trace(workload, breakdown, trace):
     assert breakdown.replacement == replacement
     assert breakdown.exchange == 0
     assert breakdown.total == access + matching + replacement
+
+
+_MASK64 = (1 << 64) - 1
+
+
+class SplitMix64:
+    """splitmix64 one output at a time; the output stream depends only on
+    the 64-bit seed."""
+
+    def __init__(self, seed: int):
+        self._state = seed & _MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        return z ^ (z >> 31)
+
+    def below(self, n: int) -> int:
+        """Uniform integer in [0, n), bias-free via rejection."""
+        if n <= 0:
+            raise ValueError(f"need n >= 1, got {n}")
+        span = _MASK64 + 1
+        limit = span - span % n
+        while True:
+            v = self.next_u64()
+            if v < limit:
+                return v % n
+
+    def unit(self) -> float:
+        """Float in [0, 1) with 53 random bits."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+
+def generate_reference(spec, buffer_capacity=3):
+    """workloads.generate with one SplitMix64 call per draw and one
+    element_name call per element."""
+    n = spec.list_size if spec.dist == "reverse" else spec.length
+    if buffer_capacity < 0:
+        raise InvalidSpec(f"buffer capacity must be >= 0, got {buffer_capacity}")
+    elements = tuple(element_name(p) for p in range(1, spec.list_size + 1))
+    rng = SplitMix64(spec.seed)
+    if spec.dist == "reverse":
+        requests = tuple(reversed(elements))
+    elif spec.dist == "uniform":
+        requests = tuple(elements[rng.below(spec.list_size)] for _ in range(n))
+    elif spec.dist == "zipf":
+        # Inverse-CDF sampling over weights rank**(-skew).
+        cumulative = []
+        total = 0.0
+        for rank in range(1, spec.list_size + 1):
+            total += rank ** -spec.zipf_skew
+            cumulative.append(total)
+        picks = []
+        for _ in range(n):
+            u = rng.unit() * total
+            idx = min(bisect_right(cumulative, u), spec.list_size - 1)
+            picks.append(elements[idx])
+        requests = tuple(picks)
+    else:  # burst
+        out = []
+        while len(out) < n:
+            e = elements[rng.below(spec.list_size)]
+            # A run may be longer than the whole sequence; cap it at what is left.
+            out.extend([e] * min(spec.run_length, n - len(out)))
+        requests = tuple(out)
+    return Workload(ListConfig(elements), RequestSequence(requests), buffer_capacity)

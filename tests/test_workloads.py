@@ -1,18 +1,26 @@
 import dataclasses
+import hashlib
+import sys
+import tracemalloc
 from collections import Counter
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from listlab.core import validate_workload
+from listlab.core import serialize_workload, validate_workload
 from listlab.workloads import (
+    BLOCK,
     GeneratorSpec,
     InvalidSpec,
-    SplitMix64,
+    below,
     element_name,
     generate,
     list_elements,
     spec_from_dist_token,
+    splitmix64,
 )
+from oracles import SplitMix64, generate_reference
 
 # Published reference outputs for the splitmix64 stream seeded with 0.
 SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
@@ -21,6 +29,80 @@ SPLITMIX64_SEED0 = (0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F)
 def test_splitmix64_reference_vectors():
     rng = SplitMix64(0)
     assert tuple(rng.next_u64() for _ in range(3)) == SPLITMIX64_SEED0
+
+
+def test_kernel_reference_vectors():
+    assert tuple(islice(splitmix64(0, 3), 3)) == SPLITMIX64_SEED0
+
+
+@pytest.mark.parametrize("seed", [0, 2**63, 2**64 - 1])
+@pytest.mark.parametrize("first,count", [
+    (BLOCK - 1, BLOCK), (BLOCK, BLOCK + 1), (BLOCK + 1, 2 * BLOCK + 1),
+    (2 * BLOCK + 1, 2 * BLOCK + 1), (1, BLOCK + 1), (200, 2 * BLOCK + 1),
+])
+def test_kernel_matches_next_u64(seed, first, count):
+    # first sizes the first block; count reads across the block edges.
+    rng = SplitMix64(seed)
+    assert list(islice(splitmix64(seed, first), count)) == [rng.next_u64() for _ in range(count)]
+
+
+def test_kernel_rejection_matches_below():
+    # Every draw at or above 2**64 - 2**64 % m, about half of them, is rejected.
+    m = 2**63 + 12345
+    limit = 2**64 - 2**64 % m
+    rejected = sum(v >= limit for v in islice(splitmix64(5, 2000), 2000))
+    assert 800 < rejected < 1200
+    rng = SplitMix64(5)
+    assert list(islice(below(splitmix64(5, 1000), m), 1000)) == [rng.below(m) for _ in range(1000)]
+
+
+@settings(max_examples=80)
+@given(
+    dist=st.sampled_from(["uniform", "zipf", "burst", "reverse"]),
+    l=st.integers(1, 300),
+    n=st.one_of(st.integers(0, 300), st.integers(BLOCK - 2, BLOCK + 2), st.integers(0, 9000)),
+    seed=st.one_of(st.sampled_from([0, 2**63, 2**64 - 1]), st.integers(0, 2**64 - 1)),
+    skew=st.floats(0.01, 50),
+    run=st.integers(1, 12),
+    buffer=st.integers(0, 9),
+)
+def test_generate_matches_reference(dist, l, n, seed, skew, run, buffer):
+    spec = GeneratorSpec(dist, l, None if dist == "reverse" else n, seed,
+                         zipf_skew=skew if dist == "zipf" else None,
+                         run_length=run if dist == "burst" else None)
+    assert generate(spec, buffer) == generate_reference(spec, buffer)
+
+
+@pytest.mark.parametrize(
+    "token,l,n,seed,buffer,digest",
+    [
+        ("zipf:1.2", 10, 200_000, 7, 8,
+         "f41e6575cfd1526feb2f6ebaad312113d5dec1cc420c8a1da3f3aa432e337539"),
+        ("uniform", 1000, 200_000, 7, 8,
+         "a72140a3f02b43b1a632428a1b979ccc1d93edaea591b0f78ed58a4e623af202"),
+        ("burst:4", 10_000, 200_000, 7, 3,
+         "bb4a3ac55ab231adfe68feced7608364b994086e134c0ee5359d9d91d2293286"),
+        ("zipf:0.8", 10_000, 100_000, 2**64 - 1, 3,
+         "ac3c28066249a8d125af33eb13ec303860ccb90c710a57cd5068a6e726ee4d24"),
+    ],
+)
+def test_large_workloads_keep_their_bytes(token, l, n, seed, buffer, digest):
+    w = generate(spec_from_dist_token(token, l, n, seed), buffer)
+    assert hashlib.sha256(serialize_workload(w).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("token,l", [("uniform", 1000), ("zipf:1.2", 10), ("burst:4", 10)])
+def test_generate_memory_stays_near_the_result(token, l):
+    # Draws stream through blocks, so the peak is the request tuple
+    # (grown in place) plus O(BLOCK) temporaries.
+    spec = spec_from_dist_token(token, l, 200_000, 7)
+    tracemalloc.start()
+    try:
+        w = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * sys.getsizeof(w.requests.requests) + 2**20
 
 
 def test_splitmix64_below_stays_in_range():

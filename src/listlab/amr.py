@@ -17,8 +17,8 @@ access + matching + replacement.
 
 Short windows are scanned, and so are flag windows that are short for
 the number of buffer residents. Long ones read indices cached on the
-inputs, so a list access costs O(matches + flags + residents) plus a
-few bisections, rather than O(window): positions come from a dict,
+inputs, so a list access costs O(matches + flags + residents) plus one
+bisection, rather than O(window): positions come from a dict,
 matches from the request sequence bucketed by diagonal j - pos(r_j),
 and flags from each resident's cursor on the request sequence's
 next-occurrence chain. The cursors belong to the run's Buffer and only
@@ -27,7 +27,7 @@ move forward, so over a whole run they take at most n steps in all.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
@@ -208,10 +208,7 @@ def set_flags(
     A window longer than SCAN_MAX and than four positions per resident is
     not scanned: each resident's cursor (see Buffer.cursors) is moved up
     to the window start along RequestSequence.chain and followed from
-    there to the window end, and the positions are sorted. A resident
-    with more than core.CHAIN_SKIP positions in the window, which one skip
-    link shows, has them cut from its occurrence list by bisection
-    instead.
+    there to the window end, and the positions are sorted.
     """
     start, end = window
     resident = buffer.resident
@@ -229,7 +226,7 @@ def set_flags(
         ))
     else:
         cursors = buffer.cursors(requests, start)
-        _, nxt, skip = requests.chain
+        _, nxt = requests.chain
         stop = len(nxt) - 1
         touched = []
         append = touched.append
@@ -239,14 +236,9 @@ def set_flags(
                 while j < start:
                     j = nxt[j]
                 cursors[e] = j
-            if skip[j] <= end:  # two bisections cost less than the walk
-                js = requests.occurrences[e]
-                lo = bisect_left(js, j)
-                touched += js[lo : bisect_right(js, end, lo)]
-            else:
-                while j <= end:
-                    append(j)
-                    j = nxt[j]
+            while j <= end:
+                append(j)
+                j = nxt[j]
         touched.sort()
     flags.update(touched)
     return touched

@@ -92,15 +92,19 @@ def _write(path: str, chunks) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
-def _distinct_paths(workload: str, **outputs: str | None) -> None:
-    """Reject an output path that names the workload or another output."""
-    seen = {os.path.realpath(workload): "--workload"}
-    for flag, path in outputs.items():
-        if path:
-            key = os.path.realpath(path)
-            if key in seen:
-                raise CliError(f"--{flag} {path} names the same file as {seen[key]}")
-            seen[key] = f"--{flag}"
+def _distinct_paths(**paths: str | None) -> None:
+    """Reject an empty path, and an output path that names the workload
+    or another output; None means the flag was not given."""
+    seen: dict[str, str] = {}
+    for flag, path in paths.items():
+        if path is None:
+            continue
+        if not path:
+            raise CliError(f"--{flag} names no file")
+        key = os.path.realpath(path)
+        if key in seen:
+            raise CliError(f"--{flag} {path} names the same file as {seen[key]}")
+        seen[key] = f"--{flag}"
 
 
 def _load_workload(path: str) -> Workload:
@@ -149,7 +153,7 @@ def run_pair(algorithm: str, model: CostModel | None, w: Workload):
 
 
 def cmd_run(args) -> int:
-    _distinct_paths(args.workload, trace=args.trace, csv=args.csv)
+    _distinct_paths(workload=args.workload, trace=args.trace, csv=args.csv)
     model = None if args.model is None else _parse_model(args.model)
     row, events = run_pair(args.algorithm, model, _load_workload(args.workload))
     print(f"algorithm={row.algorithm} model={row.model} n={row.n} l={row.l} buffer={row.buffer}")
@@ -173,7 +177,7 @@ def split_tokens(raw: str, what: str) -> list[str]:
 
 
 def cmd_compare(args) -> int:
-    _distinct_paths(args.workload, csv=args.csv)
+    _distinct_paths(workload=args.workload, csv=args.csv)
     algorithms = split_tokens(args.algorithm, "algorithm")
     for a in algorithms:
         if a not in ALGORITHM_TOKENS:
@@ -197,6 +201,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    _distinct_paths(output=args.output)
     try:
         spec = spec_from_dist_token(
             args.dist, list_size=args.list_size, length=args.length, seed=args.seed

@@ -54,20 +54,12 @@ class ListConfig:
         return dict(zip(reversed(self.elements), range(self.l, 0, -1)))
 
 
-# RequestSequence.chain links each request to the one CHAIN_SKIP steps
-# further along its element's chain, so that the amr engine can tell in
-# one step whether a window holds more than CHAIN_SKIP of an element's
-# requests (see amr.set_flags).
-CHAIN_SKIP = 8
-
-
 @dataclass(frozen=True)
 class RequestSequence:
     """The requests in order. The amr engine's indices over them (the
-    occurrence lists, the next-occurrence chain and the diagonal table)
-    are built on first use and cached on the sequence; state that
-    belongs to one run, such as the flag cursors, lives on that run's
-    Buffer."""
+    next-occurrence chain and the diagonal table) are built on first use
+    and cached on the sequence; state that belongs to one run, such as
+    the flag cursors, lives on that run's Buffer."""
 
     requests: tuple[str, ...]
 
@@ -76,37 +68,21 @@ class RequestSequence:
         return len(self.requests)
 
     @cached_property
-    def occurrences(self) -> dict[str, list[int]]:
-        """Element -> its request positions (1-based), increasing.
+    def chain(self) -> tuple[dict[str, int], list[int]]:
+        """(first, nxt): the next-occurrence chain of the requests.
 
-        Built on first use and shared like ListConfig.positions."""
-        occ: dict[str, list[int]] = {}
-        for j, r in enumerate(self.requests, start=1):
-            occ.setdefault(r, []).append(j)
-        return occ
-
-    @cached_property
-    def chain(self) -> tuple[dict[str, int], list[int], list[int]]:
-        """(first, nxt, skip): the next-occurrence chain of the requests.
-
-        first[e] is the first request position of element e, nxt[j] the
-        next position after j that requests the same element as request
-        j, and skip[j] the position CHAIN_SKIP steps further along that
-        chain; either is n + 1 when there is none. Both lists map n + 1
-        to itself, and index 0 is unused. Built on first use and shared
-        like ListConfig.positions."""
+        first[e] is the first request position of element e and nxt[j]
+        the next position after j that requests the same element as
+        request j, or n + 1 when there is none. nxt maps n + 1 to itself,
+        and index 0 is unused. Built on first use and shared like
+        ListConfig.positions."""
         stop = len(self.requests) + 1
         first: dict[str, int] = {}
         nxt = [stop] * (stop + 1)
         for j, r in zip(range(stop - 1, 0, -1), reversed(self.requests)):
             nxt[j] = first.get(r, stop)
             first[r] = j
-        skip = [stop] * (stop + 1)
-        for js in self.occurrences.values():
-            if len(js) > CHAIN_SKIP:
-                for j, k in zip(js, js[CHAIN_SKIP:]):
-                    skip[j] = k
-        return first, nxt, skip
+        return first, nxt
 
     def diagonals(self, lst: ListConfig) -> dict[int, list[tuple[int, str]]]:
         """Request j bucketed by t = j - pos(r_j), for t >= 1, as (pos, r_j).

@@ -340,7 +340,7 @@ def test_long_window_flags_agree_with_plain_scan(data):
     requests = RequestSequence(
         tuple(elements[i] for i in data.draw(st.lists(st.integers(0, l - 1), min_size=n, max_size=n)))
     )
-    # few residents take the bisection path, many keep the scan
+    # few residents take the cursor path, many keep the scan
     residents = data.draw(st.lists(st.sampled_from(elements), unique=True, max_size=l))
     buf = Buffer(len(residents))
     for e in residents:
@@ -352,6 +352,28 @@ def test_long_window_flags_agree_with_plain_scan(data):
     touched = set_flags(flags, window, buf, requests)
     assert touched == flagged_positions(requests.requests, window.start, window.end, residents)
     assert flags == before | set(touched)
+
+
+def test_hot_resident_walks_its_whole_window():
+    # A is every other request, so each long window holds far more than
+    # eight of its positions; the cursor walks them all, moves forward
+    # and is reset when a window starts further back.
+    elements = list_elements(40)
+    requests = RequestSequence(("A", elements[-1]) * 50)
+    buf = Buffer(1)
+    buf.place("A")
+    for start, end in ((1, 60), (20, 50), (5, 40), (61, 100)):
+        flags: set[int] = set()
+        touched = set_flags(flags, LookaheadWindow(start, end), buf, requests)
+        assert touched == flagged_positions(requests.requests, start, end, {"A"})
+        assert len(touched) > 8 and flags == set(touched)
+    assert buf.cursors(requests, 61)["A"] == 61
+    # served whole: the first access to the last element buffers it at
+    # offset 40 of its window and flags its 20 positions there
+    w = make_workload(elements, requests.requests, 1)
+    breakdown, events = serve_amr(w)
+    assert (breakdown, events) == serve_amr_reference(w)
+    assert max(len(ev.flags_added) for ev in events) > 8
 
 
 @settings(max_examples=150)

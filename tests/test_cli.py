@@ -404,6 +404,25 @@ def test_colliding_paths_exit_two_before_any_write(argv, demo_path, tmp_path, mo
     assert not (tmp_path / "t").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["run", "--workload", "demo.workload", "--algorithm", "amr", "--trace", ""], "--trace"),
+        (["run", "--workload", "demo.workload", "--algorithm", "amr", "--csv", ""], "--csv"),
+        (["compare", "--workload", "demo.workload", "--algorithm", "mtf", "--csv", ""], "--csv"),
+        (["run", "--workload", "", "--algorithm", "amr"], "--workload"),
+        (["gen", "--dist", "reverse", "--list-size", "3", "-o", ""], "--output"),
+    ],
+    ids=["run-trace", "run-csv", "compare-csv", "run-workload", "gen-o"],
+)
+def test_empty_path_exits_two_before_any_write(argv, flag, demo_path, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {flag} names no file\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["demo.workload"]
+    assert (tmp_path / "demo.workload").read_bytes() == DEMO.encode()
+
+
 # --- CSV round trip ----------------------------------------------------------
 
 row_strategy = st.builds(

@@ -29,6 +29,8 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
+        if args.output == "":
+            raise ValueError("--output names no file")
         buffers = [int(tok) for tok in split_tokens(args.buffers, "buffers")]
         if any(capacity < 0 for capacity in buffers):
             raise ValueError(f"buffer capacities must be >= 0, got {args.buffers!r}")
@@ -54,7 +56,7 @@ def main() -> int:
                     row, _ = run_pair(algorithm, None, w)
                     rows.append(row._replace(seed=seed))
     text = rows_to_csv(rows)
-    if args.output:
+    if args.output is not None:
         try:
             Path(args.output).write_text(text, encoding="utf-8")
         except OSError as exc:

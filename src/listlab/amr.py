@@ -15,6 +15,19 @@ A flagged request whose element still occupies buffer slot p is served
 from the buffer at cost p instead of from the list. Total cost is
 access + matching + replacement.
 
+serve_amr decides buffer service in two ways. The breakdown comes from
+the reach rule, which keeps no flags: a flag at t is only removed when
+request t is served, so request t is a buffer hit exactly when r_t is
+resident at t and some earlier list access that left r_t resident had
+its window reach t. Each element therefore needs only its reach, the
+largest window end over the list accesses it stayed resident through.
+The steps, built only when someone iterates them, come from the flag
+rule: the three steps above with a flag table, through match_parallel,
+buffer_insert, lookahead_window and set_flags. The benchmark's untimed
+reference pass (perfbench/run.py) checks each rule against the other on
+every input, since it sums the iterated steps and compares the sums
+with the breakdown.
+
 Short windows are scanned, and so are flag windows that are short for
 the number of buffer residents. Long ones read indices cached on the
 inputs, so a list access costs O(matches + flags + residents) plus one
@@ -27,13 +40,15 @@ move forward, so over a whole run they take at most n steps in all.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
+from functools import partial
 from itertools import compress
 from operator import itemgetter
 from typing import NamedTuple
 
 from .core import ListConfig, RequestSequence, Workload, position
-from .costs import CostBreakdown, StepEvent
+from .costs import CostBreakdown, StepEvent, Steps
 
 
 # Look-ahead windows of at most SCAN_MAX requests are scanned position by
@@ -244,7 +259,7 @@ def set_flags(
     return touched
 
 
-def serve_amr(workload: Workload) -> tuple[CostBreakdown, list[StepEvent]]:
+def serve_amr(workload: Workload) -> tuple[CostBreakdown, Steps]:
     """Serve the whole request sequence under the buffered look-ahead rules.
 
     A flag is honored only while its element still occupies a buffer
@@ -252,13 +267,62 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, list[StepEvent]]:
     back to a plain list access, matching and flagging included. An
     unflagged request is always served from the list, even when its
     element happens to be buffered.
+
+    The breakdown is counted by the reach rule (see the module
+    docstring) without flags or events; the returned Steps run the flag
+    rule each time they are iterated.
     """
+    lst = workload.list
+    requests = workload.requests
+    n = requests.n
+    pos = lst.positions
+    buffer = Buffer(workload.buffer_capacity)
+    resident = buffer.resident
+    since: dict[str, int] = {}  # resident element -> the list access that inserted it
+    reach: dict[str, int] = {}  # element -> largest window end of its finished residencies
+    # Every list access so far as (time, window end), minus those whose
+    # end a later access matches or passes: times rise and ends fall, so
+    # the largest end over the accesses from time s on is the first one
+    # at or after s.
+    times: list[int] = []
+    ends: list[int] = []
+    access = matching = replacement = 0
+    for t, x in enumerate(requests.requests, start=1):
+        slot = resident.get(x)
+        if slot is not None and (
+            t <= ends[bisect_left(times, since[x])] or t <= reach.get(x, 0)
+        ):
+            access += slot
+            continue
+        i = pos[x]
+        access += i
+        matched = match_parallel(lst, i, requests, t)
+        if matched:
+            matching += len(matched)
+            inserted, evicted, replaced = buffer_insert(buffer, matched)
+            replacement += replaced
+            for _, e in evicted:
+                end = ends[bisect_left(times, since.pop(e))]
+                if end > reach.get(e, 0):
+                    reach[e] = end
+            for _, e in inserted:
+                since[e] = t
+        end = t + i if t + i < n else n
+        while ends and ends[-1] <= end:
+            ends.pop()
+            times.pop()
+        times.append(t)
+        ends.append(end)
+    breakdown = CostBreakdown(access=access, matching=matching, replacement=replacement)
+    return breakdown, Steps(n, partial(_steps, workload))
+
+
+def _steps(workload: Workload) -> Iterator[StepEvent]:
+    """The run's StepEvents in request order, by the flag rule."""
     lst = workload.list
     requests = workload.requests
     buffer = Buffer(workload.buffer_capacity)
     flags: set[int] = set()
-    access = matching = replacement = 0
-    trace: list[StepEvent] = []
     n = requests.n
     # tuple.__new__ makes each StepEvent straight from its fields, without
     # the Python-level NamedTuple constructor.
@@ -268,19 +332,13 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, list[StepEvent]]:
             flags.remove(t)  # flags only ever hold positions after t
             slot = buffer.slot_of(x)
             if slot is not None:
-                access += slot
-                trace.append(new(StepEvent, (t, x, "buffer", slot, slot, (), (), (), (), 0)))
+                yield new(StepEvent, (t, x, "buffer", slot, slot, (), (), (), (), 0))
                 continue
         i = position(lst, x)
-        access += i
         matched = match_parallel(lst, i, requests, t)
-        matching += len(matched)
-        inserted, evicted, replaced = buffer_insert(buffer, matched)
-        replacement += replaced
+        inserted, evicted, _ = buffer_insert(buffer, matched)
         window = lookahead_window(t, i, n)
         touched = set_flags(flags, window, buffer, requests)
-        trace.append(new(StepEvent, (
+        yield new(StepEvent, (
             t, x, "list", i, i, tuple(matched), tuple(inserted), tuple(evicted), tuple(touched), 0,
-        )))
-    breakdown = CostBreakdown(access=access, matching=matching, replacement=replacement)
-    return breakdown, trace
+        ))

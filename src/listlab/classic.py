@@ -23,14 +23,17 @@ list read back to front for mtf, one count group for fc.
 
 The step functions serve the list alone; run_classic then does the
 accounting. It evaluates each cost function once per distinct position
-and move count, not once per request, reads every step's cost from
-those tables, and builds all n events in one pass.
+and move count, not once per request, and sums every step's cost from
+those tables. The events are built only when the returned steps are
+iterated, in one pass over the positions and moves. Positions and
+moves do not depend on the cost model, so reprice gives the same run
+under another model without serving the requests again.
 """
 
 from __future__ import annotations
 
-import gc
 from bisect import bisect_left
+from functools import partial
 from itertools import count, repeat
 
 from .core import Workload
@@ -39,6 +42,7 @@ from .costs import (
     CostModel,
     ExchangeKind,
     StepEvent,
+    Steps,
     Unsupported,
     access_cost,
     exchange_cost,
@@ -190,43 +194,68 @@ def _fc_stamped(workload: Workload):
 _STEPS = {"static": _static, "mtf": _mtf, "transpose": _transpose, "fc": _fc}
 
 
-def run_classic(
-    algorithm: str, model: CostModel, workload: Workload
-) -> tuple[CostBreakdown, list[StepEvent], list[str]]:
-    """Serve the whole request sequence; buffer capacity is ignored.
+class ClassicSteps(Steps):
+    """The steps of a classical run: the algorithm and workload, and each
+    request's position and move count, priced under one model."""
 
-    Returns the breakdown, one event per request and the final ordering.
-    """
+    __slots__ = ("algorithm", "workload", "positions", "moves")
+
+    def __init__(self, algorithm: str, workload: Workload, positions: list[int],
+                 moves: list[int], access_of):
+        super().__init__(len(positions), partial(
+            _events, workload.requests.requests, positions, access_of, moves))
+        self.algorithm = algorithm
+        self.workload = workload
+        self.positions = positions
+        self.moves = moves
+
+
+def _events(requests, positions, access_of, moves):
+    # One pass builds every event: tuple.__new__ makes a StepEvent
+    # straight from its fields, without a Python call per request.
+    return map(tuple.__new__, repeat(StepEvent), zip(
+        count(1), requests, repeat("list"), positions, map(access_of, positions),
+        repeat(()), repeat(()), repeat(()), repeat(()), moves,
+    ))
+
+
+def _check_pair(algorithm: str, model: CostModel) -> None:
     if algorithm not in CLASSIC_ALGORITHMS:
         raise Unsupported(f"unknown algorithm {algorithm!r}")
     if model.kind == "centralized" and algorithm != "static":
         raise Unsupported("only the static algorithm is defined under the centralized model")
-    # The run allocates n events and no cycles, and every event lives
-    # until the call returns, so a collection during the run frees
-    # nothing. With the collector on, the events set off about one pass
-    # per 700 of them and now and then a full pass over the whole heap,
-    # whose cost varies from call to call.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        positions, moves, ordering = _STEPS[algorithm](workload)
-        l = workload.list.l
-        free = ExchangeKind.FREE_ELIGIBLE
-        # The cost functions are pure, so each is evaluated once per
-        # distinct argument and every step reads its cost from the table.
-        # They are looked up as module globals, so that callers can wrap
-        # them to watch the accounting.
-        access_of = {i: access_cost(model, i, l) for i in set(positions)}.__getitem__
-        exchange_of = {m: exchange_cost(model, free, m) for m in set(moves)}.__getitem__
-        costs = list(map(access_of, positions))
-        # One pass builds every event: tuple.__new__ makes a StepEvent
-        # straight from its fields, without a Python call per request.
-        trace: list[StepEvent] = list(map(tuple.__new__, repeat(StepEvent), zip(
-            count(1), workload.requests.requests, repeat("list"), positions, costs,
-            repeat(()), repeat(()), repeat(()), repeat(()), moves,
-        )))
-        breakdown = CostBreakdown(access=sum(costs), exchange=sum(map(exchange_of, moves)))
-    finally:
-        if collecting:
-            gc.enable()
-    return breakdown, trace, ordering
+
+
+def _account(algorithm: str, model: CostModel, workload: Workload, positions: list[int],
+             moves: list[int]) -> tuple[CostBreakdown, ClassicSteps]:
+    l = workload.list.l
+    free = ExchangeKind.FREE_ELIGIBLE
+    # The cost functions are pure, so each is evaluated once per distinct
+    # argument and every step reads its cost from the table. They are
+    # looked up as module globals, so that callers can wrap them to watch
+    # the accounting.
+    access_of = {i: access_cost(model, i, l) for i in set(positions)}.__getitem__
+    exchange_of = {m: exchange_cost(model, free, m) for m in set(moves)}.__getitem__
+    breakdown = CostBreakdown(access=sum(map(access_of, positions)),
+                              exchange=sum(map(exchange_of, moves)))
+    return breakdown, ClassicSteps(algorithm, workload, positions, moves, access_of)
+
+
+def run_classic(
+    algorithm: str, model: CostModel, workload: Workload
+) -> tuple[CostBreakdown, ClassicSteps, list[str]]:
+    """Serve the whole request sequence; buffer capacity is ignored.
+
+    Returns the breakdown, the steps (one event per request, built when
+    iterated) and the final ordering.
+    """
+    _check_pair(algorithm, model)
+    positions, moves, ordering = _STEPS[algorithm](workload)
+    breakdown, steps = _account(algorithm, model, workload, positions, moves)
+    return breakdown, steps, ordering
+
+
+def reprice(model: CostModel, steps: ClassicSteps) -> tuple[CostBreakdown, ClassicSteps]:
+    """The breakdown and steps of the run behind `steps` under another model."""
+    _check_pair(steps.algorithm, model)
+    return _account(steps.algorithm, model, steps.workload, steps.positions, steps.moves)

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .amr import serve_amr
-from .classic import CLASSIC_ALGORITHMS, run_classic
+from .classic import CLASSIC_ALGORITHMS, reprice, run_classic
 # validate_workload is not called here: Workload checks itself when it is
 # built. The import stays because perfbench/tracer.py wraps
 # cli.validate_workload by name.
@@ -131,38 +131,45 @@ def _parse_model(token: str) -> CostModel:
         raise CliError(str(exc)) from None
 
 
-def run_pair(algorithm: str, model: CostModel | None, w: Workload):
-    """Run one (algorithm, model) pair; returns (ComparisonRow, events).
+def run_pair(algorithm: str, model: CostModel | None, w: Workload, steps=None):
+    """Run one (algorithm, model) pair; returns (ComparisonRow, steps).
 
     A model of None means the amr engine's own accounting, reported as
     model "amr", or the full model for a classical algorithm. The row's
-    seed is None. Raises Unsupported for a pair that is not defined,
-    such as amr with a model.
+    seed is None, and the steps build their events only when iterated.
+    `steps` may pass in the steps of an earlier call with the same
+    classical algorithm on w; that run is then repriced under the model
+    instead of served again. Raises Unsupported for a pair that is not
+    defined, such as amr with a model.
     """
     if algorithm == "amr":
         if model is not None:
             raise Unsupported("the amr engine carries its own cost model; drop --model")
         mtok = "amr"
-        b, events = serve_amr(w)
+        b, steps = serve_amr(w)
     else:
         model = FULL if model is None else model
         mtok = model_token(model)
-        b, events, _ = run_classic(algorithm, model, w)
+        if steps is None:
+            b, steps, _ = run_classic(algorithm, model, w)
+        else:
+            b, steps = reprice(model, steps)
     return ComparisonRow(algorithm, mtok, b.access, b.matching, b.replacement, b.exchange,
-                         b.total, w.requests.n, w.list.l, w.buffer_capacity), events
+                         b.total, w.requests.n, w.list.l, w.buffer_capacity), steps
 
 
 def cmd_run(args) -> int:
     _distinct_paths(workload=args.workload, trace=args.trace, csv=args.csv)
     model = None if args.model is None else _parse_model(args.model)
-    row, events = run_pair(args.algorithm, model, _load_workload(args.workload))
+    row, steps = run_pair(args.algorithm, model, _load_workload(args.workload))
     print(f"algorithm={row.algorithm} model={row.model} n={row.n} l={row.l} buffer={row.buffer}")
     print(
         f"access={row.access} matching={row.matching} replacement={row.replacement} "
         f"exchange={row.exchange} total={row.total}"
     )
     if args.trace:
-        _write(args.trace, (format_trace_line(ev) + "\n" for ev in events))
+        # streamed: one event at a time from the lazy steps
+        _write(args.trace, (format_trace_line(ev) + "\n" for ev in steps))
     if args.csv:
         _write(args.csv, [rows_to_csv([row])])
     return 0
@@ -186,10 +193,13 @@ def cmd_compare(args) -> int:
     w = _load_workload(args.workload)
     rows = []
     for a in algorithms:
-        # amr ignores the model list and runs once.
+        # amr ignores the model list and runs once; a classical algorithm
+        # serves the requests once and is repriced under the other models.
+        steps = None
         for model in [None] if a == "amr" else models:
             try:
-                rows.append(run_pair(a, model, w)[0])
+                row, steps = run_pair(a, model, w, steps)
+                rows.append(row)
             except Unsupported as exc:
                 print(f"skip {a} under {model_token(model)}: {exc}", file=sys.stderr)
     rows.sort(key=lambda r: (r.algorithm, r.model))

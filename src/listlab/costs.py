@@ -8,6 +8,7 @@ centralized (access costs the distance from the central position).
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -145,3 +146,26 @@ class StepEvent(NamedTuple):
     evicted: tuple[tuple[int, str], ...] = ()
     flags_added: tuple[int, ...] = ()
     transpositions: int = 0
+
+
+class Steps:
+    """A run's StepEvents, built afresh each time the object is iterated.
+
+    len() is the request count n. The engines compute their breakdowns
+    without events, so a caller that reads only the totals builds none,
+    and one that streams the events, as `run --trace` does, holds one at
+    a time. `events` is called once per iteration and returns an
+    iterator over the n events in request order.
+    """
+
+    __slots__ = ("_n", "_events")
+
+    def __init__(self, n: int, events: Callable[[], Iterator[StepEvent]]):
+        self._n = n
+        self._events = events
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __iter__(self) -> Iterator[StepEvent]:
+        return self._events()

@@ -63,6 +63,13 @@ def text_workloads(draw):
     return make_workload(elements, (elements[i] for i in idxs), capacity)
 
 
+def listed(result):
+    """An engine's result tuple with its lazy steps iterated into a list,
+    so that it compares with == against an oracle's result."""
+    breakdown, steps, *rest = result
+    return (breakdown, list(steps), *rest)
+
+
 def rows_from_csv(text: str) -> list[ComparisonRow]:
     """Parse the CLI's CSV table back into rows; an empty seed is None."""
     reader = csv.reader(io.StringIO(text))

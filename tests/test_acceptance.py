@@ -37,7 +37,8 @@ def criterion(label):
 @criterion("1 illustration trace, total 34 = 31+3+0")
 def test_criterion_1_illustration():
     w = make_workload(NINE, "I E G D I E D A B I".split(), 3)
-    breakdown, trace = serve_amr(w)
+    breakdown, steps = serve_amr(w)
+    trace = list(steps)
     assert breakdown.total == 34
     assert (breakdown.access, breakdown.matching, breakdown.replacement) == (31, 3, 0)
     # every intermediate from the worked narrative
@@ -71,7 +72,8 @@ def _timed(fn):
 @criterion("2 demonstration trace, total 36 = 31+4+1")
 def test_criterion_2_demonstration():
     w = make_workload(NINE, "I E G D I E D B A I".split(), 3)
-    breakdown, trace = serve_amr(w)
+    breakdown, steps = serve_amr(w)
+    trace = list(steps)
     assert breakdown.total == 36
     assert (breakdown.access, breakdown.matching, breakdown.replacement) == (31, 4, 1)
     g_step = trace[2]

@@ -37,7 +37,7 @@ from oracles import (
     serve_amr_reference,
     static_full_total,
 )
-from support import skewed_workloads, workloads
+from support import listed, skewed_workloads, workloads
 
 NINE = ListConfig(tuple("A B C D E F G H I".split()))
 
@@ -187,21 +187,21 @@ DEMONSTRATION_TRACE = [
 
 
 def test_illustration_run(illustration):
-    breakdown, trace = serve_amr(illustration)
+    breakdown, trace = listed(serve_amr(illustration))
     assert trace == ILLUSTRATION_TRACE
     assert (breakdown.access, breakdown.matching, breakdown.replacement) == (31, 3, 0)
     assert breakdown.total == 34
 
 
 def test_demonstration_run(demonstration):
-    breakdown, trace = serve_amr(demonstration)
+    breakdown, trace = listed(serve_amr(demonstration))
     assert trace == DEMONSTRATION_TRACE
     assert (breakdown.access, breakdown.matching, breakdown.replacement) == (31, 4, 1)
     assert breakdown.total == 36
 
 
 def test_empty_request_sequence():
-    breakdown, trace = serve_amr(make_workload("A B".split(), (), 4))
+    breakdown, trace = listed(serve_amr(make_workload("A B".split(), (), 4)))
     assert breakdown.total == 0 and trace == []
 
 
@@ -215,7 +215,7 @@ def test_stale_flag_falls_back_to_list_access():
     # B gets flagged at positions 3 and 4, then evicted by C at t=2;
     # both flagged B requests must be plain list accesses.
     w = make_workload("A B C".split(), "C C B B C".split(), 1)
-    breakdown, trace = serve_amr(w)
+    breakdown, trace = listed(serve_amr(w))
     assert trace[0].flags_added == (3, 4)
     assert trace[1].evicted == ((1, "B"),)
     assert trace[2].source == "list" and trace[2].access_cost == 2
@@ -227,7 +227,7 @@ def test_stale_flag_falls_back_to_list_access():
 def test_buffered_but_unflagged_request_served_from_list():
     # the final A sits in the buffer but outside every look-ahead window
     w = make_workload("A B C".split(), "C B A A A".split(), 3)
-    _, trace = serve_amr(w)
+    _, trace = listed(serve_amr(w))
     assert trace[1].inserted == ((1, "A"),)
     assert trace[2].source == "buffer"
     assert trace[3].source == "buffer"
@@ -263,15 +263,15 @@ def test_zero_capacity_degenerates_to_static_plus_matching(w):
 
 @given(w=workloads())
 def test_serve_amr_is_deterministic(w):
-    assert serve_amr(w) == serve_amr(w)
+    assert listed(serve_amr(w)) == listed(serve_amr(w))
 
 
 @given(w=workloads(), extra=st.integers(1, 10**6))
 def test_capacity_beyond_list_size_changes_nothing(w, extra):
     # at most l distinct elements can ever be resident
     elements, requests = w.list.elements, w.requests.requests
-    capped = serve_amr(make_workload(elements, requests, w.list.l))
-    assert serve_amr(make_workload(elements, requests, w.list.l + extra)) == capped
+    capped = listed(serve_amr(make_workload(elements, requests, w.list.l)))
+    assert listed(serve_amr(make_workload(elements, requests, w.list.l + extra))) == capped
 
 
 def test_huge_capacity_allocates_nothing_per_slot():
@@ -279,12 +279,12 @@ def test_huge_capacity_allocates_nothing_per_slot():
     w = make_workload(elements, requests, 10**7)
     tracemalloc.start()
     try:
-        breakdown, trace = serve_amr(w)
+        breakdown, trace = listed(serve_amr(w))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-    assert (breakdown, trace) == serve_amr(make_workload(elements, requests, 3))
+    assert (breakdown, trace) == listed(serve_amr(make_workload(elements, requests, 3)))
 
 
 def test_buffer_rejects_negative_capacity():
@@ -313,8 +313,46 @@ def test_matchless_search_finds_qualifying_workloads():
 @settings(max_examples=300)
 @given(w=workloads(max_l=80, max_n=160, buffers=None))
 def test_engine_matches_plain_scan_reference(w):
-    # l up to 80 puts windows on both sides of SCAN_MAX
-    assert serve_amr(w) == serve_amr_reference(w)
+    # l up to 80 puts windows on both sides of SCAN_MAX; the breakdown
+    # comes from the count path, the events from the steps' flag rule
+    assert listed(serve_amr(w)) == serve_amr_reference(w)
+
+
+# --- the count path and the lazy steps ------------------------------------------
+
+
+@settings(max_examples=300)
+@given(w=skewed_workloads(), capacity=st.integers(0, 12))
+def test_count_path_matches_reference_breakdown_under_skew(w, capacity):
+    # hot elements stay resident through many list accesses, and small
+    # buffers evict elements that come back with a reach from before
+    w = replace(w, buffer_capacity=capacity)
+    assert serve_amr(w)[0] == serve_amr_reference(w)[0]
+
+
+def test_count_path_keeps_no_flags(monkeypatch, illustration, demonstration):
+    def refuse(*args):
+        raise AssertionError("set_flags called")
+
+    monkeypatch.setattr(amr, "set_flags", refuse)
+    assert serve_amr(illustration)[0].total == 34
+    assert serve_amr(demonstration)[0].total == 36
+    # long windows, evictions and hits
+    w = generate(spec_from_dist_token("uniform", 100, 2000, 1), 8)
+    assert serve_amr(w)[0] == serve_amr_reference(w)[0]
+    # only the steps run the flag rule, and only once iterated
+    _, steps = serve_amr(illustration)
+    with pytest.raises(AssertionError, match="set_flags called"):
+        list(steps)
+
+
+@given(w=workloads(max_l=40, max_n=120, buffers=None))
+def test_steps_reiterate_and_replay_to_the_breakdown(w):
+    breakdown, steps = serve_amr(w)
+    assert len(steps) == w.requests.n
+    events = list(steps)
+    assert list(steps) == events
+    replay_amr_trace(w, breakdown, events)
 
 
 @given(
@@ -371,7 +409,7 @@ def test_hot_resident_walks_its_whole_window():
     # served whole: the first access to the last element buffers it at
     # offset 40 of its window and flags its 20 positions there
     w = make_workload(elements, requests.requests, 1)
-    breakdown, events = serve_amr(w)
+    breakdown, events = listed(serve_amr(w))
     assert (breakdown, events) == serve_amr_reference(w)
     assert max(len(ev.flags_added) for ev in events) > 8
 
@@ -388,7 +426,7 @@ def test_flag_cursors_survive_a_churning_buffer(w, capacity):
     # long windows and few residents take the cursor path; a small buffer
     # evicts and re-inserts elements, whose cursors must resume correctly
     w = replace(w, buffer_capacity=capacity)
-    assert serve_amr(w) == serve_amr_reference(w)
+    assert listed(serve_amr(w)) == serve_amr_reference(w)
 
 
 def test_flag_cursors_follow_window_starts_and_sequences(monkeypatch):
@@ -427,9 +465,9 @@ def test_flag_cursors_stay_with_their_run():
     for dist in ("uniform", "burst:4"):
         generated = generate(spec_from_dist_token(dist, 40, 400, 2))
         l, requests = generated.list.l, generated.requests
-        shared = [serve_amr(replace(generated, buffer_capacity=c)) for c in range(l + 3)]
+        shared = [listed(serve_amr(replace(generated, buffer_capacity=c))) for c in range(l + 3)]
         fresh = [
-            serve_amr(make_workload(generated.list.elements, requests.requests, c))
+            listed(serve_amr(make_workload(generated.list.elements, requests.requests, c)))
             for c in range(l + 3)
         ]
         assert shared == fresh
@@ -444,7 +482,7 @@ def test_one_request_sequence_served_against_two_lists():
     runs = {}
     for lst in (forward, backward, forward, ListConfig(elements), backward):
         w = Workload(lst, requests, 4)
-        runs.setdefault(lst.elements, []).append(serve_amr(w))
+        runs.setdefault(lst.elements, []).append(listed(serve_amr(w)))
         assert runs[lst.elements][-1] == serve_amr_reference(w)
     assert runs[forward.elements][0] != runs[backward.elements][0]
 
@@ -480,10 +518,18 @@ def test_engine_calls_the_traced_helpers(monkeypatch, illustration):
     # a long uniform workload also runs the indexed paths under the wrappers
     for w in (illustration, generate(spec_from_dist_token("uniform", 100, 2000, 1), 8)):
         calls.clear()
-        breakdown, trace = amr.serve_amr(w)
+        breakdown, steps = amr.serve_amr(w)
+        counted = dict(calls)
+        calls.clear()
+        trace = list(steps)
         assert (breakdown, trace) == serve_amr_reference(w)
         accesses = sum(ev.source == "list" for ev in trace)
         hits = len(trace) - accesses
         assert accesses > 0 and hits > 0
+        # the count path matches and inserts on every list access that
+        # matched, and keeps no flags
+        assert counted == {"match_parallel": accesses,
+                           "buffer_insert": sum(bool(ev.matched) for ev in trace)}
+        # the steps run the flag rule through every helper
         assert {name: calls[name] for name in TRACED_HELPERS} == dict.fromkeys(TRACED_HELPERS, accesses)
         assert calls["slot_of"] >= hits

@@ -1,4 +1,3 @@
-import gc
 from bisect import bisect_left
 from collections import Counter
 from itertools import islice
@@ -8,7 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from listlab import classic
-from listlab.classic import CLASSIC_ALGORITHMS, run_classic
+from listlab.classic import CLASSIC_ALGORITHMS, reprice, run_classic
 from listlab.core import InvalidWorkload, make_workload
 from listlab.costs import (
     CENTRALIZED,
@@ -24,7 +23,7 @@ from listlab.costs import (
 )
 from listlab.workloads import generate, spec_from_dist_token
 from oracles import mtf_full_total, opt_full_total, run_classic_reference, static_full_total
-from support import skewed_workloads, tokens, workloads
+from support import listed, skewed_workloads, tokens, workloads
 
 
 def _workload(elements, requests):
@@ -61,7 +60,7 @@ def test_transpose_single_access():
 
 
 def test_transpose_front_access_keeps_order():
-    _, trace, ordering = run_classic("transpose", FULL, _workload("A B".split(), ["A"]))
+    _, trace, ordering = listed(run_classic("transpose", FULL, _workload("A B".split(), ["A"])))
     assert ordering == ["A", "B"]
     assert trace[0].transpositions == 0
 
@@ -121,19 +120,6 @@ def test_invalid_workload_rejected():
         _workload("A B".split(), ["Z"])
 
 
-@pytest.mark.parametrize("collecting", [True, False])
-def test_collector_state_restored(collecting, demonstration):
-    # run_classic pauses the cyclic garbage collector while it builds
-    # the events; the caller's setting must hold again afterwards.
-    was = gc.isenabled()
-    try:
-        gc.enable() if collecting else gc.disable()
-        run_classic("fc", FULL, demonstration)
-        assert gc.isenabled() == collecting
-    finally:
-        gc.enable() if was else gc.disable()
-
-
 def test_mtf_agrees_with_reference_replay(demonstration):
     breakdown, _, _ = run_classic("mtf", FULL, demonstration)
     expected = mtf_full_total(demonstration.list.elements, demonstration.requests.requests)
@@ -176,13 +162,13 @@ def test_positional_laws_hold_after_every_prefix(w):
         _, _, mtf_ordering = run_classic("mtf", FULL, prefix)
         assert mtf_ordering[0] == x
 
-        _, tr_trace, tr_ordering = run_classic("transpose", FULL, prefix)
+        _, tr_trace, tr_ordering = listed(run_classic("transpose", FULL, prefix))
         i = tr_trace[-1].position
         assert tr_ordering.index(x) + 1 == max(1, i - 1)
 
         # fc keeps the list in non-increasing order of request tallies and
         # puts x right behind every other element requested at least as often.
-        _, fc_trace, fc_ordering = run_classic("fc", FULL, prefix)
+        _, fc_trace, fc_ordering = listed(run_classic("fc", FULL, prefix))
         tallies = Counter(requests[:t])
         along = [tallies[e] for e in fc_ordering]
         assert along == sorted(along, reverse=True)
@@ -260,7 +246,22 @@ def test_engine_matches_plain_scan_reference(algorithm, w):
     models = [FULL, PARTIAL, pd(2)] + ([CENTRALIZED] if algorithm == "static" else [])
     for model in models:
         expected = run_classic_reference(algorithm, model, w)
-        assert run_classic(algorithm, model, w) == expected, model_token(model)
+        assert listed(run_classic(algorithm, model, w)) == expected, model_token(model)
+
+
+@pytest.mark.parametrize("algorithm", CLASSIC_ALGORITHMS)
+@given(w=workloads())
+def test_steps_reiterate_and_reprice_like_a_fresh_run(algorithm, w):
+    _, steps, _ = run_classic(algorithm, FULL, w)
+    assert len(steps) == w.requests.n
+    assert list(steps) == list(steps)
+    models = [PARTIAL, pd(2), FULL] + ([CENTRALIZED] if algorithm == "static" else [])
+    for model in models:
+        fresh = listed(run_classic(algorithm, model, w))[:2]
+        assert listed(reprice(model, steps)) == fresh, model_token(model)
+    if algorithm != "static":
+        with pytest.raises(Unsupported):
+            reprice(CENTRALIZED, steps)
 
 
 @pytest.mark.parametrize("algorithm", CLASSIC_ALGORITHMS)
@@ -268,7 +269,7 @@ def test_wide_list_matches_plain_scan_reference(algorithm):
     # l = 5000, above both scan cutoffs: fc's group of unrequested
     # elements stays large for the whole run, and its tie groups grow long.
     w = generate(spec_from_dist_token("uniform", 5000, 5000, 11), 0)
-    assert run_classic(algorithm, FULL, w) == run_classic_reference(algorithm, FULL, w)
+    assert listed(run_classic(algorithm, FULL, w)) == run_classic_reference(algorithm, FULL, w)
 
 
 _CUTOFFS = {"mtf": classic.SCAN_MAX, "fc": classic.FC_SCAN_MAX}
@@ -287,7 +288,7 @@ def test_scan_cutoff_both_sides_match_reference(algorithm, data):
         with mock.patch.object(classic, "bisect_left", wraps=bisect_left) as bisect:
             for model in (FULL, PARTIAL, pd(2)):
                 expected = run_classic_reference(algorithm, model, w)
-                assert run_classic(algorithm, model, w) == expected, (l, model_token(model))
+                assert listed(run_classic(algorithm, model, w)) == expected, (l, model_token(model))
         assert bisect.call_count == 3 * bisections * w.requests.n
 
 

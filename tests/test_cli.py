@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +12,8 @@ from listlab.cli import (
     rows_to_csv,
     run_pair,
 )
-from listlab.core import serialize_workload
+from listlab.core import parse_workload, serialize_workload
+from listlab.costs import parse_model_token
 from oracles import static_full_total
 from support import rows_from_csv, workloads
 
@@ -111,6 +114,26 @@ def test_run_classic_trace_has_same_fields(demo_path, tmp_path):
         "t=1 element=I source=list position=9 cost=9 "
         "matched= inserted= evicted= flags_added="
     )
+
+
+@pytest.mark.parametrize("algorithm", ["amr", "mtf"])
+def test_run_trace_streams_its_steps(algorithm, tmp_path, capsys):
+    # Holding all 5*10^4 events of this file at once peaks at about
+    # 11 MiB for amr and 9.5 MiB for mtf; streamed, the run holds the
+    # workload and about one event.
+    wl, trace = tmp_path / "long.workload", tmp_path / "long.trace"
+    assert main(["gen", "--dist", "uniform", "--list-size", "10", "--length", "50000",
+                 "--buffer", "8", "--seed", "3", "-o", str(wl)]) == 0
+    tracemalloc.start()
+    try:
+        code = main(["run", "--workload", str(wl), "--algorithm", algorithm,
+                     "--trace", str(trace)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert trace.read_text(encoding="utf-8").count("\n") == 50_000
+    assert peak < 3 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 TRACE_KEYS = (
@@ -234,6 +257,24 @@ def test_bad_model_token_is_rejected_before_any_run(command, demo_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_compare_prices_every_model_like_a_single_run(tmp_path, capsys):
+    # compare serves each classical algorithm once and reprices it; mtf,
+    # transpose and fc are refused under the first model, centralized
+    wl = tmp_path / "w.workload"
+    assert main(["gen", "--dist", "zipf:1.2", "--list-size", "40", "--length", "400",
+                 "--seed", "2", "-o", str(wl)]) == 0
+    capsys.readouterr()
+    tokens = ["centralized", "full", "partial", "pd:2"]
+    assert main(["compare", "--workload", str(wl), "--algorithm", ",".join(ALGORITHM_TOKENS),
+                 "--model", ",".join(tokens)]) == 0
+    rows = rows_from_csv(capsys.readouterr().out)
+    assert len(rows) == 4 + 3 * 3 + 1  # static, the other classics, amr
+    w = parse_workload(wl.read_text(encoding="utf-8"))
+    for row in rows:
+        model = None if row.model == "amr" else parse_model_token(row.model)
+        assert row == run_pair(row.algorithm, model, w)[0]
 
 
 def test_compare_amr_ignores_model_list(demo_path, capsys):

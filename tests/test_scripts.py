@@ -48,10 +48,11 @@ def test_script_output_matches_golden_bytes(case):
         ["sweep_compare.py", "--dists", ""],
         ["sweep_compare.py", "--buffers", ""],
         ["buffer_sensitivity.py", "--max-buffer", "-1"],
+        ["sweep_compare.py", "--seeds", "1", "-o", ""],
     ],
     ids=["sweep-buffers", "sweep-negative-buffer", "sweep-list-size", "sweep-output",
          "sensitivity-dist", "sweep-list-size-no-seeds", "sweep-no-seeds", "sweep-no-dists",
-         "sweep-no-buffers", "sensitivity-negative-max-buffer"],
+         "sweep-no-buffers", "sensitivity-negative-max-buffer", "sweep-empty-output"],
 )
 def test_bad_input_is_one_error_line_and_exit_two(argv, tmp_path):
     script, *args = argv

@@ -28,14 +28,12 @@ reference pass (perfbench/run.py) checks each rule against the other on
 every input, since it sums the iterated steps and compares the sums
 with the breakdown.
 
-Short windows are scanned, and so are flag windows that are short for
-the number of buffer residents. Long ones read indices cached on the
-inputs, so a list access costs O(matches + flags + residents) plus one
-bisection, rather than O(window): positions come from a dict,
-matches from the request sequence bucketed by diagonal j - pos(r_j),
-and flags from each resident's cursor on the request sequence's
-next-occurrence chain. The cursors belong to the run's Buffer and only
-move forward, so over a whole run they take at most n steps in all.
+Short windows are scanned. Long ones read indices cached on the
+inputs, so a list access costs O(matches + flags) plus a few
+bisections per buffer resident, rather than O(window): positions come
+from a dict, matches from the request sequence bucketed by diagonal
+j - pos(r_j), and flags from each resident's request positions, cut
+to the window by bisection.
 """
 
 from __future__ import annotations
@@ -51,24 +49,17 @@ from .core import ListConfig, RequestSequence, Workload, position
 from .costs import CostBreakdown, StepEvent, Steps
 
 
-# Look-ahead windows of at most SCAN_MAX requests are scanned position by
-# position; longer ones read the request sequence's cached indices
-# (RequestSequence.diagonals and .chain), except that set_flags scans a
-# window shorter than four positions per buffer resident in one C-level
-# pass. Measured on these paths (Python 3.11.7 on a shared 2-vCPU Intel
-# Xeon, amr req/s, fresh inputs for every run, the variants' runs
-# interleaved; median of 15 runs, of 11 for the per-resident rows and of
-# 31 rounds over the 36 instances for sweep-l10):
-#   SCAN_MAX (4 per resident)            0     8    16    32    64
-#     sweep-l10 (l=10, n=200)         320k  297k  456k  429k  444k
-#     uniform l=1000 n=1e4 buffer 8   130k  130k  125k  121k  114k
-#     uniform l=100 n=1e4 buffer 8    127k  130k  132k  132k   95k
-#     zipf:1.2 l=1000 n=1e4 buffer 8  115k  125k  109k  121k  105k
-#   positions per resident (SCAN_MAX 16)     1     2     4     8
-#     uniform l=1000 n=5000 buffer 1000   29.6k 39.3k 39.3k 39.1k
-#     uniform l=100 n=1e4 buffer 100       358k  420k  453k  440k
-#     zipf:1.2 l=1000 n=1e4 buffer 1000     94k  104k   98k  110k
-#     burst:4 l=1000 n=1e4 buffer 1000      26k   29k   32k   28k
+# Look-ahead windows of at most SCAN_MAX requests are matched position by
+# position; longer ones read the request sequence's diagonal table
+# (RequestSequence.diagonals). Measured on the count path, which calls
+# match_parallel but not set_flags (Python 3.11.7 on a shared 2-vCPU
+# Intel Xeon, amr req/s, fresh inputs for every run, the values' runs
+# interleaved; median of 15 runs):
+#   SCAN_MAX                            0     8    16    32    64
+#     sweep-l10 (36 x l=10, n=200)   411k  383k  494k  489k  489k
+#     uniform l=1000 n=1e4 buffer 8  216k  220k  217k  213k  198k
+#     uniform l=100 n=1e4 buffer 8   247k  241k  241k  213k  151k
+#     zipf:1.2 l=1000 n=1e4 buffer 8 333k  324k  315k  298k  274k
 # l=10 windows are never longer than 10, so SCAN_MAX >= 10 scans them all;
 # differences under about 10% are within the host's run-to-run noise.
 SCAN_MAX = 16
@@ -97,11 +88,6 @@ class Buffer:
     slot after the newest one, and FIFO eviction visits the slots
     round-robin. The newcomer takes over the evicted slot, so slot
     numbers of the surviving entries never shift.
-
-    The buffer also keeps its run's flag cursors (see cursors): each
-    element's next request position that a window may still reach. They
-    outlive evictions, so an element that comes back resumes where it
-    stopped.
     """
 
     def __init__(self, capacity: int):
@@ -111,9 +97,6 @@ class Buffer:
         self.slots: list[str] = []
         self.resident: dict[str, int] = {}
         self._cursor = 0  # slot index of the oldest entry once full
-        self._flagged: RequestSequence | None = None  # what the cursors walk
-        self._flag_start = 0
-        self._flag_cursors: dict[str, int] = {}
 
     def slot_of(self, element: str) -> int | None:
         return self.resident.get(element)
@@ -136,21 +119,6 @@ class Buffer:
             self._cursor = slot % self.capacity
         self.resident[element] = slot
         return slot, evicted
-
-    def cursors(self, requests: RequestSequence, start: int) -> dict[str, int]:
-        """set_flags' cursors for a window that starts at `start`.
-
-        Maps an element to one of its request positions p (n + 1 when
-        none is left) such that none of its positions lies in start..p-1;
-        an element absent from the map has no request at all. The
-        cursors only move forward, so they are reset to each element's
-        first request when the window start falls below the previous
-        one, and when another request sequence comes in."""
-        if requests is not self._flagged or start < self._flag_start:
-            self._flagged = requests
-            self._flag_cursors = dict(requests.chain[0])
-        self._flag_start = start
-        return self._flag_cursors
 
 
 def match_parallel(
@@ -211,6 +179,20 @@ def buffer_insert(
     return inserted, evicted, len(evicted)
 
 
+# set_flags scans a window of at most eight positions per buffer resident
+# and bisects longer ones. Measured on the steps of one run, where the
+# flag rule runs (Python 3.11.7 on a shared 2-vCPU Intel Xeon, ms per run,
+# fresh inputs for every run, the factors' runs interleaved; median of 11):
+#   positions per resident                  1     2     4     8    16
+#     zipf:1.2 l=10 n=2e4 buffer 8         79    70    69    68    70
+#     uniform l=1000 n=2000 buffer 8       30    30    29    29    30
+#     uniform l=1000 n=5000 buffer 1000   479   280   224   224   218
+#     uniform l=100 n=1e4 buffer 100       37    32    29    28    28
+#     zipf:1.2 l=1000 n=1e4 buffer 1000   204   174   140   121   118
+#     burst:4 l=1000 n=1e4 buffer 1000    805   476   332   336   348
+# 8 beat 4 on the zipf:1.2 l=1000 row in 15 of 15 interleaved pairs of a
+# separate run; on the other rows the two differ by less than the host's
+# run-to-run noise.
 def set_flags(
     flags: set[int], window: LookaheadWindow, buffer: Buffer, requests: RequestSequence
 ) -> list[int]:
@@ -220,40 +202,25 @@ def set_flags(
     the positions scanned into the table this step; re-flagging an
     already flagged position is a no-op on the table but still reported.
 
-    A window longer than SCAN_MAX and than four positions per resident is
-    not scanned: each resident's cursor (see Buffer.cursors) is moved up
-    to the window start along RequestSequence.chain and followed from
-    there to the window end, and the positions are sorted.
+    A window of at most eight positions per resident is scanned in one
+    C-level pass. A longer one is not scanned: each resident's request
+    positions (RequestSequence.occurrences) are cut to the window by
+    bisection, and the pieces are sorted.
     """
     start, end = window
     resident = buffer.resident
-    if end - start < SCAN_MAX:
-        # a plain loop: below SCAN_MAX positions, setting up the C-level
-        # pass of the next branch costs more than it saves
-        reqs = requests.requests
-        touched = []
-        for j in range(start, end + 1):
-            if reqs[j - 1] in resident:
-                touched.append(j)
-    elif end - start < 4 * len(resident):
+    if end - start < 8 * len(resident):
         touched = list(compress(
             range(start, end + 1), map(resident.__contains__, requests.requests[start - 1 : end])
         ))
     else:
-        cursors = buffer.cursors(requests, start)
-        _, nxt = requests.chain
-        stop = len(nxt) - 1
+        occurrences = requests.occurrences
         touched = []
-        append = touched.append
         for e in resident:
-            j = cursors.get(e, stop)
-            if j < start:
-                while j < start:
-                    j = nxt[j]
-                cursors[e] = j
-            while j <= end:
-                append(j)
-                j = nxt[j]
+            at = occurrences.get(e)
+            if at:
+                lo = bisect_left(at, start)
+                touched += at[lo : bisect_right(at, end, lo)]
         touched.sort()
     flags.update(touched)
     return touched

@@ -57,9 +57,8 @@ class ListConfig:
 @dataclass(frozen=True)
 class RequestSequence:
     """The requests in order. The amr engine's indices over them (the
-    next-occurrence chain and the diagonal table) are built on first use
-    and cached on the sequence; state that belongs to one run, such as
-    the flag cursors, lives on that run's Buffer."""
+    occurrence lists and the diagonal table) are built on first use and
+    cached on the sequence."""
 
     requests: tuple[str, ...]
 
@@ -68,21 +67,14 @@ class RequestSequence:
         return len(self.requests)
 
     @cached_property
-    def chain(self) -> tuple[dict[str, int], list[int]]:
-        """(first, nxt): the next-occurrence chain of the requests.
+    def occurrences(self) -> dict[str, list[int]]:
+        """Element -> its request positions (1-based), increasing.
 
-        first[e] is the first request position of element e and nxt[j]
-        the next position after j that requests the same element as
-        request j, or n + 1 when there is none. nxt maps n + 1 to itself,
-        and index 0 is unused. Built on first use and shared like
-        ListConfig.positions."""
-        stop = len(self.requests) + 1
-        first: dict[str, int] = {}
-        nxt = [stop] * (stop + 1)
-        for j, r in zip(range(stop - 1, 0, -1), reversed(self.requests)):
-            nxt[j] = first.get(r, stop)
-            first[r] = j
-        return first, nxt
+        Built on first use and shared like ListConfig.positions."""
+        table: dict[str, list[int]] = {}
+        for j, r in enumerate(self.requests, start=1):
+            table.setdefault(r, []).append(j)
+        return table
 
     def diagonals(self, lst: ListConfig) -> dict[int, list[tuple[int, str]]]:
         """Request j bucketed by t = j - pos(r_j), for t >= 1, as (pos, r_j).

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import replace
 
@@ -378,7 +379,7 @@ def test_long_window_flags_agree_with_plain_scan(data):
     requests = RequestSequence(
         tuple(elements[i] for i in data.draw(st.lists(st.integers(0, l - 1), min_size=n, max_size=n)))
     )
-    # few residents take the cursor path, many keep the scan
+    # few residents take the bisection rule, many keep the scan
     residents = data.draw(st.lists(st.sampled_from(elements), unique=True, max_size=l))
     buf = Buffer(len(residents))
     for e in residents:
@@ -394,8 +395,7 @@ def test_long_window_flags_agree_with_plain_scan(data):
 
 def test_hot_resident_walks_its_whole_window():
     # A is every other request, so each long window holds far more than
-    # eight of its positions; the cursor walks them all, moves forward
-    # and is reset when a window starts further back.
+    # eight of its positions, and the windows start in any order.
     elements = list_elements(40)
     requests = RequestSequence(("A", elements[-1]) * 50)
     buf = Buffer(1)
@@ -405,7 +405,6 @@ def test_hot_resident_walks_its_whole_window():
         touched = set_flags(flags, LookaheadWindow(start, end), buf, requests)
         assert touched == flagged_positions(requests.requests, start, end, {"A"})
         assert len(touched) > 8 and flags == set(touched)
-    assert buf.cursors(requests, 61)["A"] == 61
     # served whole: the first access to the last element buffers it at
     # offset 40 of its window and flags its 20 positions there
     w = make_workload(elements, requests.requests, 1)
@@ -423,29 +422,21 @@ def test_hot_resident_walks_its_whole_window():
     capacity=st.integers(1, 4),
 )
 def test_flag_cursors_survive_a_churning_buffer(w, capacity):
-    # long windows and few residents take the cursor path; a small buffer
-    # evicts and re-inserts elements, whose cursors must resume correctly
+    # long windows and few residents take the bisection rule; a small
+    # buffer evicts and re-inserts elements, which must be flagged again
     w = replace(w, buffer_capacity=capacity)
     assert listed(serve_amr(w)) == serve_amr_reference(w)
 
 
-def test_flag_cursors_follow_window_starts_and_sequences(monkeypatch):
-    starts = []
-    cursors = Buffer.cursors
-
-    def recording(buffer, requests, start):
-        starts.append(start)
-        return cursors(buffer, requests, start)
-
-    # every call below must take the cursor path
-    monkeypatch.setattr(Buffer, "cursors", recording)
+def test_flag_cursors_follow_window_starts_and_sequences():
     elements = list_elements(50)
     uniform, skewed = (
         generate(spec_from_dist_token(dist, 50, 400, 5)).requests
         for dist in ("uniform", "zipf:1.2")
     )
     buf = Buffer(3)
-    # rising starts on one sequence, then another sequence, then earlier starts
+    # rising starts on one sequence, then another sequence, then earlier
+    # starts: set_flags keeps nothing between calls on one Buffer
     calls = [(uniform, 1), (uniform, 30), (uniform, 31), (uniform, 200), (skewed, 210),
              (skewed, 260), (skewed, 20), (uniform, 25), (uniform, 340)]
     for k, (requests, start) in enumerate(calls):
@@ -456,12 +447,48 @@ def test_flag_cursors_follow_window_starts_and_sequences(monkeypatch):
         touched = set_flags(flags, window, buf, requests)
         expected = flagged_positions(requests.requests, window.start, window.end, buf.resident)
         assert touched == expected and flags == set(expected)
-    assert starts == [start for _, start in calls]
+
+
+def test_set_flags_takes_both_rules(monkeypatch):
+    # Windows of at most eight positions per resident are scanned and
+    # call no bisection; longer ones bisect each resident that has
+    # requests once, and skip residents that never occur.
+    bisections = []
+
+    def counting(a, x, *args):
+        bisections.append(x)
+        return bisect_left(a, x, *args)
+
+    monkeypatch.setattr(amr, "bisect_left", counting)
+    elements = list_elements(12)
+    requests = RequestSequence(tuple(elements[j % 5] for j in range(60)))
+    residents = (elements[0], elements[3], elements[10], elements[11])  # the last two never occur
+    buf = Buffer(len(residents))
+    for e in residents:
+        buf.place(e)
+    cases = [  # (window, bisections)
+        (LookaheadWindow(5, 4), 0),  # empty
+        (LookaheadWindow(61, 60), 0),  # empty, past the last request
+        (LookaheadWindow(1, 1), 0),
+        (LookaheadWindow(10, 41), 0),  # 32 positions: scanned
+        (LookaheadWindow(10, 42), 2),  # 33 positions: bisected
+        (LookaheadWindow(1, 60), 2),
+    ]
+    for window, expected in cases:
+        bisections.clear()
+        flags = {70}
+        touched = set_flags(flags, window, buf, requests)
+        assert touched == flagged_positions(requests.requests, window.start, window.end, residents)
+        assert flags == {70, *touched}
+        assert len(bisections) == expected, window
+    # an empty buffer flags nothing, whatever the window
+    for window in (LookaheadWindow(3, 2), LookaheadWindow(1, 60)):
+        assert set_flags(set(), window, Buffer(0), requests) == []
 
 
 def test_flag_cursors_stay_with_their_run():
     # as scripts/buffer_sensitivity.py does, every capacity shares one
-    # request sequence; a cursor left on it by one run must not leak
+    # request sequence and its cached indices; no run may leak into another
     for dist in ("uniform", "burst:4"):
         generated = generate(spec_from_dist_token(dist, 40, 400, 2))
         l, requests = generated.list.l, generated.requests

@@ -54,25 +54,21 @@ def test_cached_indices_leave_equality_and_hash_unchanged():
     w = generate(spec_from_dist_token("uniform", 40, 300, 5), buffer_capacity=3)
     twin = make_workload(w.list.elements, w.requests.requests, w.buffer_capacity)
     before = (hash(w), hash(w.list), hash(w.requests), repr(w), serialize_workload(w))
-    list(serve_amr(w)[1])  # the steps' flag rule reads the chain
+    list(serve_amr(w)[1])  # the steps' flag rule reads the occurrence lists
     assert "positions" in vars(w.list)
-    assert vars(w.requests).keys() >= {"_diagonals", "chain"}
+    assert vars(w.requests).keys() >= {"_diagonals", "occurrences"}
     assert (hash(w), hash(w.list), hash(w.requests), repr(w), serialize_workload(w)) == before
     assert (w, w.list, w.requests) == (twin, twin.list, twin.requests)
     assert hash(w) == hash(twin)
 
 
 @given(workloads(max_l=4, max_n=40))
-def test_next_occurrence_chain_follows_each_elements_positions(w):
+def test_occurrences_list_each_elements_positions(w):
     requests = w.requests.requests
-    n = len(requests)
-    first, nxt = w.requests.chain
-    assert first == {e: requests.index(e) + 1 for e in requests}
-    assert len(nxt) == n + 2
-    assert nxt[n + 1] == n + 1
-    for j in range(1, n + 1):
-        later = [k for k in range(j + 1, n + 1) if requests[k - 1] == requests[j - 1]]
-        assert nxt[j] == (later + [n + 1])[0]
+    occurrences = w.requests.occurrences
+    assert occurrences.keys() == set(requests)
+    for e, at in occurrences.items():
+        assert at == [j for j, r in enumerate(requests, start=1) if r == e]
 
 
 @given(unique_token_lists)

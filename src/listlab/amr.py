@@ -28,12 +28,14 @@ reference pass (perfbench/run.py) checks each rule against the other on
 every input, since it sums the iterated steps and compares the sums
 with the breakdown.
 
-Short windows are scanned. Long ones read indices cached on the
-inputs, so a list access costs O(matches + flags) plus a few
-bisections per buffer resident, rather than O(window): positions come
-from a dict, matches from the request sequence bucketed by diagonal
-j - pos(r_j), and flags from each resident's request positions, cut
-to the window by bisection.
+A list access reads indices cached on the inputs rather than scanning
+its window. Positions come from a dict. Matches depend only on the
+input, so on lists longer than SCAN_MAX they are tabled per step once
+per request sequence (RequestSequence.step_matches) and a list access
+reads its own row; shorter lists are scanned. Flags in a long window
+come from each resident's request positions, cut to the window by
+bisection, so the steps cost O(matches + flags) plus a few bisections
+per buffer resident per list access.
 """
 
 from __future__ import annotations
@@ -42,29 +44,26 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Iterator
 from functools import partial
 from itertools import compress
-from operator import itemgetter
 from typing import NamedTuple
 
 from .core import ListConfig, RequestSequence, Workload, position
 from .costs import CostBreakdown, StepEvent, Steps
 
 
-# Look-ahead windows of at most SCAN_MAX requests are matched position by
-# position; longer ones read the request sequence's diagonal table
-# (RequestSequence.diagonals). Measured on the count path, which calls
-# match_parallel but not set_flags (Python 3.11.7 on a shared 2-vCPU
-# Intel Xeon, amr req/s, fresh inputs for every run, the values' runs
-# interleaved; median of 15 runs):
+# Lists of at most SCAN_MAX elements are scanned position by position;
+# longer ones read each list access's matches from the request
+# sequence's step table (RequestSequence.step_matches). Measured on the
+# count path (Python 3.11.7 on a shared 2-vCPU Intel Xeon, amr req/s,
+# fresh inputs, table build included, values interleaved; median of 21):
 #   SCAN_MAX                            0     8    16    32    64
-#     sweep-l10 (36 x l=10, n=200)   411k  383k  494k  489k  489k
-#     uniform l=1000 n=1e4 buffer 8  216k  220k  217k  213k  198k
-#     uniform l=100 n=1e4 buffer 8   247k  241k  241k  213k  151k
-#     zipf:1.2 l=1000 n=1e4 buffer 8 333k  324k  315k  298k  274k
-# l=10 windows are never longer than 10, so SCAN_MAX >= 10 scans them all;
-# differences under about 10% are within the host's run-to-run noise.
+#     sweep-l10 (36 x l=10, n=200)   743k  753k  648k  642k  623k
+#     uniform l=24 n=1e4 buffer 3    680k  635k  591k  331k  349k
+#     uniform l=48 n=1e4 buffer 8    673k  693k  661k  696k  273k
+#     uniform l=1000 n=1e4 buffer 8  621k  655k  584k  605k  589k
+# The table wins even at l=10, but it holds O(n) rows where a scan holds
+# nothing: `run amr --trace` on uniform l=10, n=5e4 peaks at 2.2 MiB with
+# 16 and 4.1 MiB with 8. Differences under ~10% are run-to-run noise.
 SCAN_MAX = 16
-
-_offset = itemgetter(0)
 
 
 class LookaheadWindow(NamedTuple):
@@ -83,11 +82,11 @@ class Buffer:
     """Fixed-capacity slotted store with FIFO eviction.
 
     Slots are numbered from 1 and a resident element is served at a cost
-    equal to its slot number. Slots are never freed, so they fill as
-    1..capacity in order; after that the oldest entry always sits in the
-    slot after the newest one, and FIFO eviction visits the slots
-    round-robin. The newcomer takes over the evicted slot, so slot
-    numbers of the surviving entries never shift.
+    equal to its slot number. buffer_insert places every element: slots
+    are never freed, so they fill as 1..capacity in order; after that the
+    oldest entry always sits in the slot after the newest one, and FIFO
+    eviction visits the slots round-robin. The newcomer takes over the
+    evicted slot, so slot numbers of the surviving entries never shift.
     """
 
     def __init__(self, capacity: int):
@@ -101,53 +100,35 @@ class Buffer:
     def slot_of(self, element: str) -> int | None:
         return self.resident.get(element)
 
-    def place(self, element: str) -> tuple[int, tuple[int, str] | None]:
-        """Insert into the next free slot, evicting FIFO when full.
-
-        Returns (slot, evicted) where evicted is (slot, element) of the
-        removed entry or None. Callers must cap the insertion batch to
-        the capacity first; capacity 0 never reaches here.
-        """
-        if len(self.slots) < self.capacity:
-            self.slots.append(element)
-            slot, evicted = len(self.slots), None
-        else:
-            slot = self._cursor + 1
-            evicted = (slot, self.slots[slot - 1])
-            del self.resident[evicted[1]]
-            self.slots[slot - 1] = element
-            self._cursor = slot % self.capacity
-        self.resident[element] = slot
-        return slot, evicted
-
 
 def match_parallel(
     lst: ListConfig, i: int, requests: RequestSequence, t: int
 ) -> list[tuple[int, str]]:
-    """Positional matches of the visited prefix against the window.
+    """Positional matches of the list access at t, whose element is at i.
 
     Returns every offset k in 1..min(i, n-t) where the k-th list element
     equals request t+k, in increasing k. The comparison is element-wise,
     not a set intersection: list element k is only ever compared with
     the single request k steps ahead.
 
-    A long window reads diagonal t of the request sequence (requests j
-    with j - pos(r_j) = t, see RequestSequence.diagonals) and keeps the
-    offsets up to i; this relies on distinct list elements, which every
+    A window of at most SCAN_MAX requests is scanned, so lists of at
+    most SCAN_MAX elements build no table. A longer one reads row t of
+    the request sequence's table (RequestSequence.step_matches), which is
+    cut at pos(r_t), so i must be that position, as it is for every list
+    access; the table relies on distinct list elements, which every
     validated workload has.
     """
     ahead = requests.requests
     limit = min(i, len(ahead) - t)
-    if limit <= SCAN_MAX:
-        elements = lst.elements
-        out: list[tuple[int, str]] = []
-        for k in range(1, limit + 1):
-            e = elements[k - 1]
-            if e == ahead[t + k - 1]:
-                out.append((k, e))
-        return out
-    diagonal = requests.diagonals(lst).get(t, [])
-    return diagonal[: bisect_right(diagonal, limit, key=_offset)]
+    if limit > SCAN_MAX:
+        return list(requests.step_matches(lst)[t])
+    elements = lst.elements
+    out: list[tuple[int, str]] = []
+    for k in range(1, limit + 1):
+        e = elements[k - 1]
+        if e == ahead[t + k - 1]:
+            out.append((k, e))
+    return out
 
 
 def buffer_insert(
@@ -159,23 +140,33 @@ def buffer_insert(
     arrive in increasing list position, as match_parallel returns them,
     so when more remain than the total capacity the last `capacity` of
     them are the ones with the largest list positions and are kept.
-    Survivors are inserted in that order via Buffer.place.
+    Survivors take the free slots in order and then evict round-robin,
+    as the Buffer docstring describes.
 
     Returns (inserted, evicted, replacement_count) where inserted and
     evicted are (slot, element) pairs and replacement_count counts
     evictions of pre-existing entries.
     """
-    if not candidates:
-        return [], [], 0
-    fresh = [(k, e) for k, e in candidates if e not in buffer.resident]
-    fresh = fresh[max(0, len(fresh) - buffer.capacity) :]
+    resident = buffer.resident
+    fresh = [e for _, e in candidates if e not in resident]
+    capacity = buffer.capacity
+    del fresh[: max(0, len(fresh) - capacity)]
+    slots = buffer.slots
     inserted: list[tuple[int, str]] = []
     evicted: list[tuple[int, str]] = []
-    for _, e in fresh:
-        slot, out = buffer.place(e)
+    for e in fresh:
+        if len(slots) < capacity:
+            slots.append(e)
+            slot = len(slots)
+        else:
+            slot = buffer._cursor + 1
+            old = slots[slot - 1]
+            del resident[old]
+            evicted.append((slot, old))
+            slots[slot - 1] = e
+            buffer._cursor = slot % capacity
+        resident[e] = slot
         inserted.append((slot, e))
-        if out is not None:
-            evicted.append(out)
     return inserted, evicted, len(evicted)
 
 
@@ -243,6 +234,8 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, Steps]:
     requests = workload.requests
     n = requests.n
     pos = lst.positions
+    # long lists read each list access's matches from the table
+    table = requests.step_matches(lst) if lst.l > SCAN_MAX else None
     buffer = Buffer(workload.buffer_capacity)
     resident = buffer.resident
     since: dict[str, int] = {}  # resident element -> the list access that inserted it
@@ -263,7 +256,7 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, Steps]:
             continue
         i = pos[x]
         access += i
-        matched = match_parallel(lst, i, requests, t)
+        matched = table[t] if table is not None else match_parallel(lst, i, requests, t)
         if matched:
             matching += len(matched)
             inserted, evicted, replaced = buffer_insert(buffer, matched)

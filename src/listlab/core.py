@@ -9,6 +9,7 @@ engines never check again.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -57,8 +58,8 @@ class ListConfig:
 @dataclass(frozen=True)
 class RequestSequence:
     """The requests in order. The amr engine's indices over them (the
-    occurrence lists and the diagonal table) are built on first use and
-    cached on the sequence."""
+    occurrence lists and the table of each step's matches) are built on
+    first use and cached on the sequence."""
 
     requests: tuple[str, ...]
 
@@ -76,27 +77,32 @@ class RequestSequence:
             table.setdefault(r, []).append(j)
         return table
 
-    def diagonals(self, lst: ListConfig) -> dict[int, list[tuple[int, str]]]:
-        """Request j bucketed by t = j - pos(r_j), for t >= 1, as (pos, r_j).
-
-        List element k equals request t+k exactly when request t+k has
-        position k, so bucket t holds every positional match at step t,
-        in increasing k. Requests not in the list are left out. The table
-        depends on the list too, so it is cached together with the list
-        object it was built from and rebuilt for any other list.
+    def step_matches(self, lst: ListConfig) -> list[Sequence[tuple[int, str]]]:
+        """Row t: the pairs (k, r_{t+k}) with k <= pos(r_t) and r_{t+k} list
+        element k, that is the positional matches of a list access at t,
+        in increasing k; () when there are none. One pass files request j
+        under t = j - pos(r_j). List elements must be distinct, and rows
+        share one (k, element) tuple per element. The table is cached with
+        the list object it was built from and rebuilt for any other list.
         """
-        cached = self.__dict__.get("_diagonals")
+        cached = self.__dict__.get("_step_matches")
         if cached is not None and cached[0] is lst:
             return cached[1]
-        pos = lst.positions
-        table: dict[int, list[tuple[int, str]]] = {}
-        for j, r in enumerate(self.requests, start=1):
-            k = pos.get(r)
-            if k is not None and k < j:
-                table.setdefault(j - k, []).append((k, r))
+        pos = lst.positions.get
+        pairs = tuple(enumerate(lst.elements, start=1))
+        requests = self.requests
+        table: list[Sequence[tuple[int, str]]] = [()] * (len(requests) + 1)
+        for j, r in enumerate(requests, start=1):
+            k = pos(r)
+            if k is not None and k < j and k <= pos(requests[j - k - 1], 0):
+                row = table[j - k]
+                if row:
+                    row.append(pairs[k - 1])
+                else:
+                    table[j - k] = [pairs[k - 1]]
         # Frozen dataclass: write the cache slot past __setattr__, as
         # cached_property does.
-        self.__dict__["_diagonals"] = (lst, table)
+        self.__dict__["_step_matches"] = (lst, table)
         return table
 
 

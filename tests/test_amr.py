@@ -362,13 +362,40 @@ def test_steps_reiterate_and_replay_to_the_breakdown(w):
 )
 def test_long_window_matches_agree_with_oracle(l, idxs):
     elements = list_elements(l)
-    # the first request is the last element, so its window is longer than SCAN_MAX
+    # the first request is the last element, so its window is longer than
+    # SCAN_MAX and match_parallel reads its row of the step table
     requests = RequestSequence((elements[-1], *(elements[i % l] for i in idxs)))
     lst = ListConfig(elements)
     for t, x in enumerate(requests.requests, start=1):
-        assert match_parallel(lst, position(lst, x), requests, t) == positional_matches(
-            elements, requests.requests, t
-        )
+        matched = match_parallel(lst, position(lst, x), requests, t)
+        assert matched == positional_matches(elements, requests.requests, t)
+        matched.append((0, "Z"))  # a copy: the cached row stays as it was
+    assert (0, "Z") not in itertools.chain.from_iterable(requests.step_matches(lst))
+
+
+@given(data=st.data())
+def test_step_table_rows_agree_with_oracle(data):
+    # l on both sides of SCAN_MAX; one request sequence against two lists
+    # of the same elements, so the cached table is rebuilt for each switch
+    l = data.draw(st.integers(1, 2 * SCAN_MAX + 8))
+    elements = list_elements(l)
+    idxs = data.draw(st.lists(st.integers(0, l - 1), max_size=3 * l + 20))
+    requests = RequestSequence(tuple(elements[i] for i in idxs))
+    forward = ListConfig(elements)
+    shuffled = ListConfig(tuple(data.draw(st.permutations(elements))))
+    for lst in (forward, shuffled, forward):
+        table = requests.step_matches(lst)
+        assert len(table) == requests.n + 1 and not table[0]
+        for t in range(1, requests.n + 1):
+            assert list(table[t]) == positional_matches(lst.elements, requests.requests, t)
+
+
+def test_short_lists_build_no_step_table():
+    for l, built in ((1, False), (SCAN_MAX, False), (SCAN_MAX + 1, True)):
+        w = generate(spec_from_dist_token("uniform", l, 3000, 4), 3)
+        breakdown, steps = serve_amr(w)
+        assert (breakdown, list(steps)) == serve_amr_reference(w)
+        assert ("_step_matches" in vars(w.requests)) is built, l
 
 
 @given(data=st.data())
@@ -382,8 +409,7 @@ def test_long_window_flags_agree_with_plain_scan(data):
     # few residents take the bisection rule, many keep the scan
     residents = data.draw(st.lists(st.sampled_from(elements), unique=True, max_size=l))
     buf = Buffer(len(residents))
-    for e in residents:
-        buf.place(e)
+    buffer_insert(buf, list(enumerate(residents, start=1)))
     t = data.draw(st.integers(0, n - SCAN_MAX - 1))
     window = lookahead_window(t, data.draw(st.integers(SCAN_MAX + 1, n)), n)
     before = data.draw(st.sets(st.integers(1, n)))
@@ -399,7 +425,7 @@ def test_hot_resident_walks_its_whole_window():
     elements = list_elements(40)
     requests = RequestSequence(("A", elements[-1]) * 50)
     buf = Buffer(1)
-    buf.place("A")
+    buffer_insert(buf, [(1, "A")])
     for start, end in ((1, 60), (20, 50), (5, 40), (61, 100)):
         flags: set[int] = set()
         touched = set_flags(flags, LookaheadWindow(start, end), buf, requests)
@@ -464,8 +490,7 @@ def test_set_flags_takes_both_rules(monkeypatch):
     requests = RequestSequence(tuple(elements[j % 5] for j in range(60)))
     residents = (elements[0], elements[3], elements[10], elements[11])  # the last two never occur
     buf = Buffer(len(residents))
-    for e in residents:
-        buf.place(e)
+    buffer_insert(buf, list(enumerate(residents, start=1)))
     cases = [  # (window, bisections)
         (LookaheadWindow(5, 4), 0),  # empty
         (LookaheadWindow(61, 60), 0),  # empty, past the last request
@@ -502,7 +527,7 @@ def test_flag_cursors_stay_with_their_run():
 
 
 def test_one_request_sequence_served_against_two_lists():
-    # the diagonal table is cached per list object and rebuilt for another one
+    # the step table is cached per list object and rebuilt for another one
     elements = list_elements(40)
     requests = generate(spec_from_dist_token("uniform", 40, 400, 3)).requests
     forward, backward = ListConfig(elements), ListConfig(tuple(reversed(elements)))
@@ -542,21 +567,24 @@ def test_engine_calls_the_traced_helpers(monkeypatch, illustration):
     for name, types in TRACED_HELPERS.items():
         monkeypatch.setattr(amr, name, counting(name, getattr(amr, name), types))
     monkeypatch.setattr(Buffer, "slot_of", counting("slot_of", Buffer.slot_of, (Buffer, str)))
-    # a long uniform workload also runs the indexed paths under the wrappers
+    # the illustration's list is scanned; a long uniform workload reads the
+    # table of each step's matches, and its steps run the indexed paths
+    # under the wrappers
     for w in (illustration, generate(spec_from_dist_token("uniform", 100, 2000, 1), 8)):
         calls.clear()
         breakdown, steps = amr.serve_amr(w)
-        counted = dict(calls)
+        counted = calls.copy()
         calls.clear()
         trace = list(steps)
         assert (breakdown, trace) == serve_amr_reference(w)
         accesses = sum(ev.source == "list" for ev in trace)
         hits = len(trace) - accesses
         assert accesses > 0 and hits > 0
-        # the count path matches and inserts on every list access that
-        # matched, and keeps no flags
-        assert counted == {"match_parallel": accesses,
-                           "buffer_insert": sum(bool(ev.matched) for ev in trace)}
+        # the count path inserts on every list access that matched and
+        # keeps no flags; it calls match_parallel only on short lists
+        scanned = accesses if w.list.l <= SCAN_MAX else 0
+        assert counted == Counter(match_parallel=scanned,
+                                  buffer_insert=sum(bool(ev.matched) for ev in trace))
         # the steps run the flag rule through every helper
         assert {name: calls[name] for name in TRACED_HELPERS} == dict.fromkeys(TRACED_HELPERS, accesses)
         assert calls["slot_of"] >= hits

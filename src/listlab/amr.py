@@ -30,12 +30,11 @@ with the breakdown.
 
 A list access reads indices cached on the inputs rather than scanning
 its window. Positions come from a dict. Matches depend only on the
-input, so on lists longer than SCAN_MAX they are tabled per step once
-per request sequence (RequestSequence.step_matches) and a list access
-reads its own row; shorter lists are scanned. Flags in a long window
-come from each resident's request positions, cut to the window by
-bisection, so the steps cost O(matches + flags) plus a few bisections
-per buffer resident per list access.
+input, so they are tabled per step once per request sequence
+(RequestSequence.step_matches) and a list access reads its own row.
+Flags in a long window come from each resident's request positions, cut
+to the window by bisection, so the steps cost O(matches + flags) plus a
+few bisections per buffer resident per list access.
 """
 
 from __future__ import annotations
@@ -48,22 +47,6 @@ from typing import NamedTuple
 
 from .core import ListConfig, RequestSequence, Workload, position
 from .costs import CostBreakdown, StepEvent, Steps
-
-
-# Lists of at most SCAN_MAX elements are scanned position by position;
-# longer ones read each list access's matches from the request
-# sequence's step table (RequestSequence.step_matches). Measured on the
-# count path (Python 3.11.7 on a shared 2-vCPU Intel Xeon, amr req/s,
-# fresh inputs, table build included, values interleaved; median of 21):
-#   SCAN_MAX                            0     8    16    32    64
-#     sweep-l10 (36 x l=10, n=200)   743k  753k  648k  642k  623k
-#     uniform l=24 n=1e4 buffer 3    680k  635k  591k  331k  349k
-#     uniform l=48 n=1e4 buffer 8    673k  693k  661k  696k  273k
-#     uniform l=1000 n=1e4 buffer 8  621k  655k  584k  605k  589k
-# The table wins even at l=10, but it holds O(n) rows where a scan holds
-# nothing: `run amr --trace` on uniform l=10, n=5e4 peaks at 2.2 MiB with
-# 16 and 4.1 MiB with 8. Differences under ~10% are run-to-run noise.
-SCAN_MAX = 16
 
 
 class LookaheadWindow(NamedTuple):
@@ -111,24 +94,13 @@ def match_parallel(
     not a set intersection: list element k is only ever compared with
     the single request k steps ahead.
 
-    A window of at most SCAN_MAX requests is scanned, so lists of at
-    most SCAN_MAX elements build no table. A longer one reads row t of
-    the request sequence's table (RequestSequence.step_matches), which is
+    Reads row t of the request sequence's table
+    (RequestSequence.step_matches) and returns a copy of it. The row is
     cut at pos(r_t), so i must be that position, as it is for every list
     access; the table relies on distinct list elements, which every
     validated workload has.
     """
-    ahead = requests.requests
-    limit = min(i, len(ahead) - t)
-    if limit > SCAN_MAX:
-        return list(requests.step_matches(lst)[t])
-    elements = lst.elements
-    out: list[tuple[int, str]] = []
-    for k in range(1, limit + 1):
-        e = elements[k - 1]
-        if e == ahead[t + k - 1]:
-            out.append((k, e))
-    return out
+    return list(requests.step_matches(lst)[t])
 
 
 def buffer_insert(
@@ -170,10 +142,11 @@ def buffer_insert(
     return inserted, evicted, len(evicted)
 
 
-# set_flags scans a window of at most eight positions per buffer resident
-# and bisects longer ones. Measured on the steps of one run, where the
-# flag rule runs (Python 3.11.7 on a shared 2-vCPU Intel Xeon, ms per run,
-# fresh inputs for every run, the factors' runs interleaved; median of 11):
+# set_flags scans a window of at most eight positions per buffer resident,
+# or of at most sixteen, and bisects longer ones. Measured on the steps of
+# one run, where the flag rule runs (Python 3.11.7 on a shared 2-vCPU Intel
+# Xeon, ms per run, fresh inputs for every run, the factors' runs
+# interleaved; median of 11):
 #   positions per resident                  1     2     4     8    16
 #     zipf:1.2 l=10 n=2e4 buffer 8         79    70    69    68    70
 #     uniform l=1000 n=2000 buffer 8       30    30    29    29    30
@@ -193,14 +166,18 @@ def set_flags(
     the positions scanned into the table this step; re-flagging an
     already flagged position is a no-op on the table but still reported.
 
-    A window of at most eight positions per resident is scanned in one
-    C-level pass. A longer one is not scanned: each resident's request
-    positions (RequestSequence.occurrences) are cut to the window by
-    bisection, and the pieces are sorted.
+    An empty buffer flags nothing. A window of at most sixteen positions,
+    or of at most eight per resident, is scanned in one C-level pass, so
+    short lists never build the occurrence index. A longer one is not
+    scanned: each resident's request positions
+    (RequestSequence.occurrences) are cut to the window by bisection, and
+    the pieces are sorted.
     """
     start, end = window
     resident = buffer.resident
-    if end - start < 8 * len(resident):
+    if not resident:
+        return []
+    if end - start < max(16, 8 * len(resident)):
         touched = list(compress(
             range(start, end + 1), map(resident.__contains__, requests.requests[start - 1 : end])
         ))
@@ -234,8 +211,7 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, Steps]:
     requests = workload.requests
     n = requests.n
     pos = lst.positions
-    # long lists read each list access's matches from the table
-    table = requests.step_matches(lst) if lst.l > SCAN_MAX else None
+    table = requests.step_matches(lst)
     buffer = Buffer(workload.buffer_capacity)
     resident = buffer.resident
     since: dict[str, int] = {}  # resident element -> the list access that inserted it
@@ -256,7 +232,7 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, Steps]:
             continue
         i = pos[x]
         access += i
-        matched = table[t] if table is not None else match_parallel(lst, i, requests, t)
+        matched = table[t]
         if matched:
             matching += len(matched)
             inserted, evicted, replaced = buffer_insert(buffer, matched)

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from listlab import amr
 from listlab.amr import (
-    SCAN_MAX,
     Buffer,
     LookaheadWindow,
     buffer_insert,
@@ -314,8 +313,9 @@ def test_matchless_search_finds_qualifying_workloads():
 @settings(max_examples=300)
 @given(w=workloads(max_l=80, max_n=160, buffers=None))
 def test_engine_matches_plain_scan_reference(w):
-    # l up to 80 puts windows on both sides of SCAN_MAX; the breakdown
-    # comes from the count path, the events from the steps' flag rule
+    # l up to 80 puts flag windows on both sides of set_flags' sixteen
+    # positions; the breakdown comes from the count path, the events from
+    # the steps' flag rule
     assert listed(serve_amr(w)) == serve_amr_reference(w)
 
 
@@ -357,13 +357,14 @@ def test_steps_reiterate_and_replay_to_the_breakdown(w):
 
 
 @given(
-    l=st.integers(SCAN_MAX + 1, 80),
-    idxs=st.lists(st.integers(0, 79), min_size=SCAN_MAX + 1, max_size=160),
+    l=st.integers(1, 80),
+    idxs=st.lists(st.integers(0, 79), max_size=160),
 )
 def test_long_window_matches_agree_with_oracle(l, idxs):
     elements = list_elements(l)
-    # the first request is the last element, so its window is longer than
-    # SCAN_MAX and match_parallel reads its row of the step table
+    # the first request is the last element, so its window spans the list
+    # or the rest of the requests; match_parallel reads the step table's
+    # row on every list length
     requests = RequestSequence((elements[-1], *(elements[i % l] for i in idxs)))
     lst = ListConfig(elements)
     for t, x in enumerate(requests.requests, start=1):
@@ -375,9 +376,9 @@ def test_long_window_matches_agree_with_oracle(l, idxs):
 
 @given(data=st.data())
 def test_step_table_rows_agree_with_oracle(data):
-    # l on both sides of SCAN_MAX; one request sequence against two lists
-    # of the same elements, so the cached table is rebuilt for each switch
-    l = data.draw(st.integers(1, 2 * SCAN_MAX + 8))
+    # one request sequence against two lists of the same elements, so the
+    # cached table is rebuilt for each switch
+    l = data.draw(st.integers(1, 40))
     elements = list_elements(l)
     idxs = data.draw(st.lists(st.integers(0, l - 1), max_size=3 * l + 20))
     requests = RequestSequence(tuple(elements[i] for i in idxs))
@@ -390,19 +391,24 @@ def test_step_table_rows_agree_with_oracle(data):
             assert list(table[t]) == positional_matches(lst.elements, requests.requests, t)
 
 
-def test_short_lists_build_no_step_table():
-    for l, built in ((1, False), (SCAN_MAX, False), (SCAN_MAX + 1, True)):
-        w = generate(spec_from_dist_token("uniform", l, 3000, 4), 3)
+def test_every_list_length_reads_the_step_table():
+    # With one resident, set_flags scans every window of a list of at most
+    # sixteen elements and builds no occurrence lists; at l=17 a window of
+    # seventeen positions bisects them.
+    for l in (1, 9, 16, 17):
+        w = generate(spec_from_dist_token("uniform", l, 3000, 4), 1)
         breakdown, steps = serve_amr(w)
+        assert "_step_matches" in vars(w.requests), l
         assert (breakdown, list(steps)) == serve_amr_reference(w)
-        assert ("_step_matches" in vars(w.requests)) is built, l
+        assert ("occurrences" in vars(w.requests)) is (l > 16), l
 
 
 @given(data=st.data())
 def test_long_window_flags_agree_with_plain_scan(data):
     l = data.draw(st.integers(1, 80))
     elements = list_elements(l)
-    n = data.draw(st.integers(SCAN_MAX + 1, 160))
+    # windows of more than sixteen positions, which set_flags may bisect
+    n = data.draw(st.integers(17, 160))
     requests = RequestSequence(
         tuple(elements[i] for i in data.draw(st.lists(st.integers(0, l - 1), min_size=n, max_size=n)))
     )
@@ -410,8 +416,8 @@ def test_long_window_flags_agree_with_plain_scan(data):
     residents = data.draw(st.lists(st.sampled_from(elements), unique=True, max_size=l))
     buf = Buffer(len(residents))
     buffer_insert(buf, list(enumerate(residents, start=1)))
-    t = data.draw(st.integers(0, n - SCAN_MAX - 1))
-    window = lookahead_window(t, data.draw(st.integers(SCAN_MAX + 1, n)), n)
+    t = data.draw(st.integers(0, n - 17))
+    window = lookahead_window(t, data.draw(st.integers(17, n)), n)
     before = data.draw(st.sets(st.integers(1, n)))
     flags = set(before)
     touched = set_flags(flags, window, buf, requests)
@@ -476,9 +482,9 @@ def test_flag_cursors_follow_window_starts_and_sequences():
 
 
 def test_set_flags_takes_both_rules(monkeypatch):
-    # Windows of at most eight positions per resident are scanned and
-    # call no bisection; longer ones bisect each resident that has
-    # requests once, and skip residents that never occur.
+    # Windows of at most sixteen positions, or of at most eight per
+    # resident, are scanned and call no bisection; longer ones bisect each
+    # resident that has requests once, and skip residents that never occur.
     bisections = []
 
     def counting(a, x, *args):
@@ -506,9 +512,19 @@ def test_set_flags_takes_both_rules(monkeypatch):
         assert touched == flagged_positions(requests.requests, window.start, window.end, residents)
         assert flags == {70, *touched}
         assert len(bisections) == expected, window
-    # an empty buffer flags nothing, whatever the window
+    # one resident: sixteen positions are scanned, seventeen bisected
+    single = Buffer(1)
+    buffer_insert(single, [(1, elements[0])])
+    for window, expected in ((LookaheadWindow(3, 18), 0), (LookaheadWindow(3, 19), 1)):
+        bisections.clear()
+        touched = set_flags(set(), window, single, requests)
+        assert touched == flagged_positions(requests.requests, window.start, window.end, [elements[0]])
+        assert len(bisections) == expected, window
+    # an empty buffer flags nothing, whatever the window, and builds no index
+    fresh = RequestSequence(requests.requests)
     for window in (LookaheadWindow(3, 2), LookaheadWindow(1, 60)):
-        assert set_flags(set(), window, Buffer(0), requests) == []
+        assert set_flags(set(), window, Buffer(0), fresh) == []
+    assert "occurrences" not in vars(fresh)
 
 
 def test_flag_cursors_stay_with_their_run():
@@ -567,8 +583,8 @@ def test_engine_calls_the_traced_helpers(monkeypatch, illustration):
     for name, types in TRACED_HELPERS.items():
         monkeypatch.setattr(amr, name, counting(name, getattr(amr, name), types))
     monkeypatch.setattr(Buffer, "slot_of", counting("slot_of", Buffer.slot_of, (Buffer, str)))
-    # the illustration's list is scanned; a long uniform workload reads the
-    # table of each step's matches, and its steps run the indexed paths
+    # both workloads, the illustration (l=9) and a long uniform one, read
+    # the table of each step's matches; their steps run the indexed paths
     # under the wrappers
     for w in (illustration, generate(spec_from_dist_token("uniform", 100, 2000, 1), 8)):
         calls.clear()
@@ -580,10 +596,9 @@ def test_engine_calls_the_traced_helpers(monkeypatch, illustration):
         accesses = sum(ev.source == "list" for ev in trace)
         hits = len(trace) - accesses
         assert accesses > 0 and hits > 0
-        # the count path inserts on every list access that matched and
-        # keeps no flags; it calls match_parallel only on short lists
-        scanned = accesses if w.list.l <= SCAN_MAX else 0
-        assert counted == Counter(match_parallel=scanned,
+        # the count path inserts on every list access that matched, keeps
+        # no flags and reads its matches from the table, not match_parallel
+        assert counted == Counter(match_parallel=0,
                                   buffer_insert=sum(bool(ev.matched) for ev in trace))
         # the steps run the flag rule through every helper
         assert {name: calls[name] for name in TRACED_HELPERS} == dict.fromkeys(TRACED_HELPERS, accesses)

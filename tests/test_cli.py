@@ -117,7 +117,10 @@ def test_run_classic_trace_has_same_fields(demo_path, tmp_path):
 
 
 @pytest.mark.parametrize("algorithm, dist, list_size, mib", [
+    # Short lists read the step table too, and their flag windows are
+    # scanned, so they build no occurrence lists.
     pytest.param("amr", "uniform", 10, 3, id="amr"),
+    pytest.param("amr", "zipf:1.2", 10, 3, id="amr-zipf-l10"),
     pytest.param("mtf", "uniform", 10, 3, id="mtf"),
     # Windows up to 100 long read the step table and bisect the residents'
     # occurrence lists, both cached on the request sequence. An index of

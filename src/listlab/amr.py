@@ -21,6 +21,7 @@ request t is served, so request t is a buffer hit exactly when r_t is
 resident at t and some earlier list access that left r_t resident had
 its window reach t. Each element therefore needs only its reach, the
 largest window end over the list accesses it stayed resident through.
+The count path keeps its FIFO buffer in loop locals, not in a Buffer.
 The steps, built only when someone iterates them, come from the flag
 rule: the three steps above with a flag table, through match_parallel,
 buffer_insert, lookahead_window and set_flags. The benchmark's untimed
@@ -65,8 +66,9 @@ class Buffer:
     """Fixed-capacity slotted store with FIFO eviction.
 
     Slots are numbered from 1 and a resident element is served at a cost
-    equal to its slot number. buffer_insert places every element: slots
-    are never freed, so they fill as 1..capacity in order; after that the
+    equal to its slot number. buffer_insert places every element of the
+    steps (the count path keeps the same FIFO in loop locals): slots are
+    never freed, so they fill as 1..capacity in order; after that the
     oldest entry always sits in the slot after the newest one, and FIFO
     eviction visits the slots round-robin. The newcomer takes over the
     evicted slot, so slot numbers of the surviving entries never shift.
@@ -117,7 +119,8 @@ def buffer_insert(
 
     Returns (inserted, evicted, replacement_count) where inserted and
     evicted are (slot, element) pairs and replacement_count counts
-    evictions of pre-existing entries.
+    evictions of pre-existing entries. serve_amr's count loop writes the
+    same rule out in its locals; keep the two in step.
     """
     resident = buffer.resident
     fresh = [e for _, e in candidates if e not in resident]
@@ -212,16 +215,22 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, Steps]:
     n = requests.n
     pos = lst.positions
     table = requests.step_matches(lst)
-    buffer = Buffer(workload.buffer_capacity)
-    resident = buffer.resident
+    capacity = workload.buffer_capacity
+    # buffer_insert's FIFO rule in locals; keep the two in step. Residents
+    # are dropped before any eviction, overflow keeps the largest list
+    # positions, and slots fill in order, then evict round-robin.
+    slots: list[str] = []
+    cursor = 0
+    resident: dict[str, int] = {}  # element -> slot
     since: dict[str, int] = {}  # resident element -> the list access that inserted it
     reach: dict[str, int] = {}  # element -> largest window end of its finished residencies
     # Every list access so far as (time, window end), minus those whose
     # end a later access matches or passes: times rise and ends fall, so
     # the largest end over the accesses from time s on is the first one
-    # at or after s.
-    times: list[int] = []
-    ends: list[int] = []
+    # at or after s. Ends are not cut at n, since no request lies past it;
+    # the entry at time 0 ends past them all, so it is never popped or found.
+    times: list[int] = [0]
+    ends: list[int] = [n + lst.l + 1]
     access = matching = replacement = 0
     for t, x in enumerate(requests.requests, start=1):
         slot = resident.get(x)
@@ -235,16 +244,27 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, Steps]:
         matched = table[t]
         if matched:
             matching += len(matched)
-            inserted, evicted, replaced = buffer_insert(buffer, matched)
-            replacement += replaced
-            for _, e in evicted:
-                end = ends[bisect_left(times, since.pop(e))]
-                if end > reach.get(e, 0):
-                    reach[e] = end
-            for _, e in inserted:
+            fresh = [e for _, e in matched if e not in resident]
+            del fresh[: max(0, len(fresh) - capacity)]
+            for e in fresh:
+                if len(slots) < capacity:
+                    slots.append(e)
+                    resident[e] = len(slots)
+                else:
+                    old = slots[cursor]
+                    slots[cursor] = e
+                    del resident[old]
+                    end = ends[bisect_left(times, since.pop(old))]
+                    if end > reach.get(old, 0):
+                        reach[old] = end
+                    replacement += 1
+                    cursor += 1
+                    resident[e] = cursor
+                    if cursor == capacity:
+                        cursor = 0
                 since[e] = t
-        end = t + i if t + i < n else n
-        while ends and ends[-1] <= end:
+        end = t + i
+        while ends[-1] <= end:
             ends.pop()
             times.pop()
         times.append(t)

@@ -453,14 +453,14 @@ def test_hot_resident_walks_its_whole_window():
     ),
     capacity=st.integers(1, 4),
 )
-def test_flag_cursors_survive_a_churning_buffer(w, capacity):
+def test_bisection_flags_survive_a_churning_buffer(w, capacity):
     # long windows and few residents take the bisection rule; a small
     # buffer evicts and re-inserts elements, which must be flagged again
     w = replace(w, buffer_capacity=capacity)
     assert listed(serve_amr(w)) == serve_amr_reference(w)
 
 
-def test_flag_cursors_follow_window_starts_and_sequences():
+def test_set_flags_keeps_no_state_between_calls():
     elements = list_elements(50)
     uniform, skewed = (
         generate(spec_from_dist_token(dist, 50, 400, 5)).requests
@@ -527,7 +527,7 @@ def test_set_flags_takes_both_rules(monkeypatch):
     assert "occurrences" not in vars(fresh)
 
 
-def test_flag_cursors_stay_with_their_run():
+def test_runs_sharing_one_request_sequence_stay_independent():
     # as scripts/buffer_sensitivity.py does, every capacity shares one
     # request sequence and its cached indices; no run may leak into another
     for dist in ("uniform", "burst:4"):
@@ -596,10 +596,9 @@ def test_engine_calls_the_traced_helpers(monkeypatch, illustration):
         accesses = sum(ev.source == "list" for ev in trace)
         hits = len(trace) - accesses
         assert accesses > 0 and hits > 0
-        # the count path inserts on every list access that matched, keeps
-        # no flags and reads its matches from the table, not match_parallel
-        assert counted == Counter(match_parallel=0,
-                                  buffer_insert=sum(bool(ev.matched) for ev in trace))
+        # the count path keeps its own FIFO and no flags, and reads its
+        # matches from the table: it calls neither helper
+        assert counted == Counter(match_parallel=0, buffer_insert=0)
         # the steps run the flag rule through every helper
         assert {name: calls[name] for name in TRACED_HELPERS} == dict.fromkeys(TRACED_HELPERS, accesses)
         assert calls["slot_of"] >= hits

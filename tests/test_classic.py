@@ -95,6 +95,12 @@ def test_static_centralized_small_case():
     assert breakdown.total == 2
 
 
+def test_static_centralized_even_list():
+    # center of four positions is 3; costs |1-3| + |1-3| + |2-3|
+    workload = _workload("A B C D".split(), "A A B".split())
+    assert run_classic("static", CENTRALIZED, workload)[0].total == 5
+
+
 def test_mtf_under_pd_charges_rearrangement():
     # access 3, then 2 transpositions at d=2
     breakdown, _, _ = run_classic("mtf", pd(2), _workload("A B C".split(), ["C"]))

@@ -39,6 +39,17 @@ def test_centralized_ninth_of_nine():
     assert access_cost(CENTRALIZED, 9, 9) == 4
 
 
+@pytest.mark.parametrize("l,costs", [
+    (2, [1, 0]),
+    (4, [2, 1, 0, 1]),
+    (10, [5, 4, 3, 2, 1, 0, 1, 2, 3, 4]),
+])
+def test_centralized_costs_on_even_lists(l, costs):
+    # worked by hand: ceil((l+1)/2) is the later of the two middle
+    # positions, l/2 + 1, so position 1 costs l/2
+    assert [access_cost(CENTRALIZED, i, l) for i in range(1, l + 1)] == costs
+
+
 def test_pd_access_matches_full():
     assert access_cost(pd(3), 4, 8) == 4
 

@@ -22,12 +22,13 @@ last access and find it by bisecting a sorted list of stamps: the whole
 list read back to front for mtf, one count group for fc.
 
 The step functions serve the list alone; run_classic then does the
-accounting. It evaluates each cost function once per distinct position
-and move count, not once per request, and sums every step's cost from
-those tables. The events are built only when the returned steps are
-iterated, in one pass over the positions and moves. Positions and
-moves do not depend on the cost model, so reprice gives the same run
-under another model without serving the requests again.
+accounting. It evaluates the access cost once per distinct position,
+not once per request, and prices the exchanges once per run from the
+summed transpositions, since free-eligible exchanges cost d each under
+pd:<d> and nothing otherwise. The events are built only when the
+returned steps are iterated, in one pass over the positions and moves.
+Positions and moves do not depend on the cost model, so reprice gives
+the same run under another model without serving the requests again.
 """
 
 from __future__ import annotations
@@ -55,11 +56,11 @@ CLASSIC_ALGORITHMS = ("static", "mtf", "transpose", "fc")
 # bisecting stamps. Measured through run_classic under full (Python
 # 3.11.7 on a shared 2-vCPU Intel Xeon, req/s, median of 11 alternating
 # pairs, three workloads of n=2000 each; stamps against scan):
-#   mtf uniform: l=10 0.99, 16 0.95, 24 1.02, 32 1.15, 48 1.18, 64 1.22;
-#   mtf zipf:1.2: l=10 0.92, 16 0.93, 24 0.97, 32 0.98, 48 1.10, 64 1.07;
-#   fc uniform: l=10 0.94, 64 0.92, 128 0.97, 256 1.11, 512 1.39;
-#   fc zipf:1.2: l=10 0.92, 64 0.91, 128 0.90, 256 0.89, 512 1.00;
-#   at l=1000, n=1e4: fc uniform 1.54, zipf:1.2 1.04.
+#   mtf uniform: l=10 0.85, 16 0.94, 24 1.11, 32 1.29, 48 1.80, 64 2.06;
+#   mtf zipf:1.2: l=10 0.76, 16 0.73, 24 0.93, 32 0.93, 48 1.10, 64 1.24;
+#   fc uniform: l=10 0.81, 64 0.88, 128 0.95, 256 1.25, 512 1.85;
+#   fc zipf:1.2: l=10 0.83, 64 0.87, 128 0.83, 256 0.89, 512 1.04;
+#   at l=1000, n=1e4: fc uniform 2.26, zipf:1.2 1.39.
 # fc's scan stays cheap on longer lists, because it walks one count group,
 # not the whole list, and under skewed requests those groups stay short.
 SCAN_MAX = 32
@@ -74,7 +75,7 @@ FC_SCAN_MAX = 256
 def _static(workload: Workload):
     pos = workload.list.positions
     requests = workload.requests.requests
-    return [pos[x] for x in requests], [0] * len(requests), list(workload.list.elements)
+    return list(map(pos.__getitem__, requests)), [0] * len(requests), list(workload.list.elements)
 
 
 def _mtf(workload: Workload):
@@ -229,15 +230,14 @@ def _check_pair(algorithm: str, model: CostModel) -> None:
 def _account(algorithm: str, model: CostModel, workload: Workload, positions: list[int],
              moves: list[int]) -> tuple[CostBreakdown, ClassicSteps]:
     l = workload.list.l
-    free = ExchangeKind.FREE_ELIGIBLE
-    # The cost functions are pure, so each is evaluated once per distinct
-    # argument and every step reads its cost from the table. They are
-    # looked up as module globals, so that callers can wrap them to watch
-    # the accounting.
+    # access_cost is pure, so it is evaluated once per distinct position
+    # and every step reads its cost from the table. Every move is
+    # free-eligible, whose cost is additive in transpositions, so one
+    # exchange_cost call prices the summed moves. Both are looked up as
+    # module globals, so that callers can wrap them to watch the accounting.
     access_of = {i: access_cost(model, i, l) for i in set(positions)}.__getitem__
-    exchange_of = {m: exchange_cost(model, free, m) for m in set(moves)}.__getitem__
-    breakdown = CostBreakdown(access=sum(map(access_of, positions)),
-                              exchange=sum(map(exchange_of, moves)))
+    exchange = exchange_cost(model, ExchangeKind.FREE_ELIGIBLE, sum(moves))
+    breakdown = CostBreakdown(access=sum(map(access_of, positions)), exchange=exchange)
     return breakdown, ClassicSteps(algorithm, workload, positions, moves, access_of)
 
 

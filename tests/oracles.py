@@ -91,6 +91,46 @@ def run_classic_reference(algorithm, model, workload):
     return CostBreakdown(access=access, exchange=exchange), trace, ordering
 
 
+def pair_total(algorithm, elements, requests):
+    """The partial-model total of static, mtf or fc, summed over pairs.
+
+    An access under partial costs the number of elements in front of the
+    accessed one, so a run's total is, over every pair {a, b}, the number
+    of requests to a or b served while the other stood in front. Under
+    these three algorithms which of a and b stands in front depends only
+    on the requests to a and b, so each pair is served as a two-element
+    list over its own requests, merged in time order:
+
+      static  the one in front at the start stays in front
+      mtf     the one requested last is in front
+      fc      the one requested more often is in front; at equal counts
+              the one that reached the count first stays in front
+
+    About (l - 1) * n element visits.
+    """
+    if algorithm not in ("static", "mtf", "fc"):
+        raise ValueError(f"{algorithm!r} does not decompose into pairs")
+    times = {e: [] for e in elements}
+    for t, x in enumerate(requests):
+        times[x].append(t)
+    total = 0
+    for k, a in enumerate(elements):
+        for b in elements[k + 1 :]:
+            front = a  # a stands in front of b at the start
+            counts = {a: 0, b: 0}
+            for t in sorted(times[a] + times[b]):
+                x = requests[t]
+                if x != front:
+                    total += 1
+                if algorithm == "mtf":
+                    front = x
+                elif algorithm == "fc":
+                    counts[x] += 1
+                    if counts[x] > counts[front]:
+                        front = x
+    return total
+
+
 @lru_cache(maxsize=None)
 def _orders(l):
     """Every order of 0..l-1 (the identity first), with, for each order m,

@@ -13,6 +13,7 @@ from listlab.costs import (
     CENTRALIZED,
     FULL,
     PARTIAL,
+    ExchangeKind,
     OutOfRange,
     StepEvent,
     Unsupported,
@@ -22,7 +23,13 @@ from listlab.costs import (
     pd,
 )
 from listlab.workloads import generate, spec_from_dist_token
-from oracles import mtf_full_total, opt_full_total, run_classic_reference, static_full_total
+from oracles import (
+    mtf_full_total,
+    opt_full_total,
+    pair_total,
+    run_classic_reference,
+    static_full_total,
+)
 from support import listed, skewed_workloads, tokens, workloads
 
 
@@ -246,6 +253,23 @@ def test_offline_optimum_ignores_element_names(w, data):
     assert opt_full_total(names, renamed) == opt_full_total(elements, w.requests.requests)
 
 
+def _assert_partial_totals_are_pair_sums(w):
+    for algorithm in ("static", "mtf", "fc"):
+        total = run_classic(algorithm, PARTIAL, w)[0].total
+        assert total == pair_total(algorithm, w.list.elements, w.requests.requests), algorithm
+
+
+@given(w=skewed_workloads(max_l=40, max_n=80))
+def test_partial_totals_are_pair_sums(w):
+    # l up to 40 crosses mtf's scan cutoff; the wide case below crosses fc's
+    _assert_partial_totals_are_pair_sums(w)
+
+
+def test_wide_partial_totals_are_pair_sums():
+    # l=1000 is far wider than any OPT check reaches
+    _assert_partial_totals_are_pair_sums(generate(spec_from_dist_token("uniform", 1000, 2000, 7), 0))
+
+
 @pytest.mark.parametrize("algorithm", CLASSIC_ALGORITHMS)
 @given(w=skewed_workloads())
 def test_engine_matches_plain_scan_reference(algorithm, w):
@@ -343,7 +367,7 @@ def test_positions_outside_the_list_are_refused(position):
 
 
 @pytest.mark.parametrize("algorithm", CLASSIC_ALGORITHMS)
-def test_costs_are_evaluated_once_per_distinct_argument(algorithm):
+def test_access_cost_per_distinct_position_exchange_cost_once_per_run(algorithm):
     for l in _WIDTHS:
         w = generate(spec_from_dist_token("uniform", l, 300, l), 0)
         positions, moves, _ = classic._STEPS[algorithm](w)
@@ -351,4 +375,6 @@ def test_costs_are_evaluated_once_per_distinct_argument(algorithm):
                 mock.patch.object(classic, "exchange_cost", wraps=exchange_cost) as exchange:
             run_classic(algorithm, pd(2), w)
         assert access.call_count == len(set(positions)) <= min(w.requests.n, l), l
-        assert exchange.call_count == len(set(moves)), l
+        # one call prices the whole run from its summed transpositions
+        assert exchange.call_count == 1, l
+        assert exchange.call_args.args == (pd(2), ExchangeKind.FREE_ELIGIBLE, sum(moves)), l

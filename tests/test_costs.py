@@ -109,6 +109,16 @@ def test_zero_transpositions_cost_zero(model, kind):
     assert exchange_cost(model, kind, 0) == 0
 
 
+@given(st.sampled_from((FULL, PARTIAL, CENTRALIZED) + tuple(map(pd, range(1, 6)))),
+       st.integers(0, 10**6), st.integers(0, 10**6))
+def test_free_exchange_cost_is_additive(model, a, b):
+    # run_classic prices a run's free-eligible exchanges with one call over
+    # the summed transpositions, which this identity makes exact
+    free = ExchangeKind.FREE_ELIGIBLE
+    assert exchange_cost(model, free, a) + exchange_cost(model, free, b) == \
+        exchange_cost(model, free, a + b)
+
+
 def test_negative_transpositions_rejected():
     with pytest.raises(ValueError):
         exchange_cost(FULL, ExchangeKind.PAID, -1)

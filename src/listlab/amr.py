@@ -75,8 +75,6 @@ class Buffer:
     """
 
     def __init__(self, capacity: int):
-        if capacity < 0:
-            raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self.slots: list[str] = []
         self.resident: dict[str, int] = {}
@@ -96,13 +94,14 @@ def match_parallel(
     not a set intersection: list element k is only ever compared with
     the single request k steps ahead.
 
-    Reads row t of the request sequence's table
-    (RequestSequence.step_matches) and returns a copy of it. The row is
-    cut at pos(r_t), so i must be that position, as it is for every list
-    access; the table relies on distinct list elements, which every
-    validated workload has.
+    Pairs each element of row t of the request sequence's table
+    (RequestSequence.step_matches) with its list position, in a new
+    list. The row is cut at pos(r_t), so i must be that position, as it
+    is for every list access; the table relies on distinct list
+    elements, which every validated workload has.
     """
-    return list(requests.step_matches(lst)[t])
+    pos = lst.positions
+    return [(pos[e], e) for e in requests.step_matches(lst)[t]]
 
 
 def buffer_insert(
@@ -244,7 +243,7 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, Steps]:
         matched = table[t]
         if matched:
             matching += len(matched)
-            fresh = [e for _, e in matched if e not in resident]
+            fresh = [e for e in matched if e not in resident]
             del fresh[: max(0, len(fresh) - capacity)]
             for e in fresh:
                 if len(slots) < capacity:

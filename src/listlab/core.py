@@ -77,29 +77,29 @@ class RequestSequence:
             table.setdefault(r, []).append(j)
         return table
 
-    def step_matches(self, lst: ListConfig) -> list[Sequence[tuple[int, str]]]:
-        """Row t: the pairs (k, r_{t+k}) with k <= pos(r_t) and r_{t+k} list
-        element k, that is the positional matches of a list access at t,
-        in increasing k; () when there are none. One pass files request j
-        under t = j - pos(r_j). List elements must be distinct, and rows
-        share one (k, element) tuple per element. The table is cached with
-        the list object it was built from and rebuilt for any other list.
+    def step_matches(self, lst: ListConfig) -> list[Sequence[str]]:
+        """Row t: the requests r_{t+k} that are list element k, for every
+        k <= pos(r_t), that is the positional matches of a list access at
+        t, in increasing k; () when there are none. A match's offset k is
+        its element's list position, so rows hold only the elements. One
+        pass files request j under t = j - pos(r_j), which relies on
+        distinct list elements. The table is cached with the list object
+        it was built from and rebuilt for any other list.
         """
         cached = self.__dict__.get("_step_matches")
         if cached is not None and cached[0] is lst:
             return cached[1]
         pos = lst.positions.get
-        pairs = tuple(enumerate(lst.elements, start=1))
         requests = self.requests
-        table: list[Sequence[tuple[int, str]]] = [()] * (len(requests) + 1)
+        table: list[Sequence[str]] = [()] * (len(requests) + 1)
         for j, r in enumerate(requests, start=1):
             k = pos(r)
             if k is not None and k < j and k <= pos(requests[j - k - 1], 0):
                 row = table[j - k]
                 if row:
-                    row.append(pairs[k - 1])
+                    row.append(r)
                 else:
-                    table[j - k] = [pairs[k - 1]]
+                    table[j - k] = [r]
         # Frozen dataclass: write the cache slot past __setattr__, as
         # cached_property does.
         self.__dict__["_step_matches"] = (lst, table)
@@ -178,8 +178,9 @@ def parse_workload(text: str) -> Workload:
 
     Lines starting with '#' and blank lines are ignored. Exactly one
     `list:`, one `buffer:` and one `requests:` line must appear, in any
-    order; anything else is a ParseError. A file that parses but breaks
-    a workload rule raises InvalidWorkload.
+    order, and the buffer must be an integer; anything else is a
+    ParseError. A file that parses but breaks a workload rule, a
+    negative buffer among them, raises InvalidWorkload.
     """
     found: dict[str, tuple[int, str]] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -203,8 +204,6 @@ def parse_workload(text: str) -> Workload:
         buffer_capacity = int(buf_text.strip())
     except ValueError:
         raise ParseError(buf_line, f"buffer must be an integer, got {buf_text.strip()!r}") from None
-    if buffer_capacity < 0:
-        raise ParseError(buf_line, f"buffer must be non-negative, got {buffer_capacity}")
     return make_workload(
         found["list"][1].split(), found["requests"][1].split(), buffer_capacity
     )

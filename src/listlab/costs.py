@@ -23,9 +23,11 @@ class Unsupported(ValueError):
 
 class ExchangeKind(enum.Enum):
     # Moving the just-accessed item toward the front is free under the
-    # full and partial models; any other adjacent transposition is paid.
+    # full and partial models, and it is the only exchange the algorithms
+    # here make, so no kind of paid exchange is defined. The enum and
+    # exchange_cost's kind parameter stay because perfbench/tracer.py
+    # wraps exchange_cost(model, kind, transpositions) by position.
     FREE_ELIGIBLE = "free"
-    PAID = "paid"
 
 
 MODEL_KINDS = ("full", "partial", "pd", "centralized")
@@ -53,7 +55,9 @@ def pd(d: int) -> CostModel:
 
 
 def parse_model_token(token: str) -> CostModel:
-    """Parse a CLI/CSV model token: full, partial, pd:<d>, centralized."""
+    """Parse a CLI/CSV model token: full, partial, pd:<d>, centralized.
+
+    CostModel rejects an unknown name and a pd charge below 1."""
     name, sep, arg = token.partition(":")
     if name == "pd":
         if not sep:
@@ -65,8 +69,6 @@ def parse_model_token(token: str) -> CostModel:
         return CostModel("pd", d)
     if sep:
         raise ValueError(f"model {name!r} takes no argument")
-    if name not in MODEL_KINDS:
-        raise ValueError(f"unknown cost model token {token!r}")
     return CostModel(name)
 
 
@@ -92,23 +94,13 @@ def access_cost(model: CostModel, i: int, l: int) -> int:
 
 
 def exchange_cost(model: CostModel, kind: ExchangeKind, transpositions: int) -> int:
-    """Cost of a run of adjacent transpositions under the model.
-
-    Zero transpositions cost zero everywhere. Paid movement under the
-    centralized model is refused: nothing in this library performs it,
-    and its cost rule would differ from a per-transposition charge.
+    """Cost of a run of adjacent transpositions that move the accessed
+    element toward the front: d each under pd:<d>, free under the other
+    models. The count must not be negative.
     """
     if transpositions < 0:
         raise ValueError(f"negative transposition count {transpositions}")
-    if transpositions == 0:
-        return 0
-    if model.kind == "pd":
-        return transpositions * model.d
-    if kind is ExchangeKind.FREE_ELIGIBLE:
-        return 0
-    if model.kind == "centralized":
-        raise Unsupported("paid movement under the centralized model is not implemented")
-    return transpositions
+    return transpositions * model.d if model.kind == "pd" else 0
 
 
 @dataclass(frozen=True)

@@ -131,6 +131,39 @@ def pair_total(algorithm, elements, requests):
     return total
 
 
+def pair_opt_bound(elements, requests):
+    """The sum, over every pair {a, b}, of the offline optimum under
+    partial on the two-element list (a, b) served the pair's requests.
+
+    On two elements the optimum is a dynamic program over which element
+    stands in front. Before an access the two may be swapped, a paid
+    exchange at cost 1; the access costs 1 when the other element stands
+    in front and 0 otherwise; after it the accessed element may move to
+    the front for free. Under partial every algorithm's total, its paid
+    exchanges included, is the sum of what it pays on each pair's
+    projection, and no projection costs less than its pair's optimum, so
+    the sum is at most every algorithm's partial total, the offline
+    optimum's included (Borodin & El-Yaniv, 1998, ch. 1). About
+    (l - 1) * n element visits.
+    """
+    times = {e: [] for e in elements}
+    for t, x in enumerate(requests):
+        times[x].append(t)
+    total = 0
+    for k, a in enumerate(elements):
+        for b in elements[k + 1 :]:
+            # cheapest cost so far that leaves a, or b, in front; a starts there
+            a_front, b_front = 0, inf
+            for t in sorted(times[a] + times[b]):
+                a_front, b_front = min(a_front, b_front + 1), min(b_front, a_front + 1)
+                if requests[t] == a:
+                    a_front, b_front = min(a_front, b_front + 1), b_front + 1
+                else:
+                    a_front, b_front = a_front + 1, min(b_front, a_front + 1)
+            total += min(a_front, b_front)
+    return total
+
+
 @lru_cache(maxsize=None)
 def _orders(l):
     """Every order of 0..l-1 (the identity first), with, for each order m,

@@ -261,6 +261,21 @@ def test_zero_capacity_degenerates_to_static_plus_matching(w):
         assert ev.inserted == () and ev.evicted == () and ev.flags_added == ()
 
 
+@given(w=workloads(max_l=12, max_n=60, buffers=None))
+def test_amr_minus_static_is_matching_replacement_gain_and_loss(w):
+    # Every request is served from the list at its position or from the
+    # buffer at its slot. gain sums pos - slot over the hits with pos >
+    # slot, loss sums slot - pos over the other hits, the costly ones.
+    breakdown, steps = serve_amr(w)
+    static, _, _ = run_classic("static", FULL, w)
+    pos = w.list.positions
+    hits = [(pos[ev.element], ev.position) for ev in steps if ev.source == "buffer"]
+    gain = sum(p - slot for p, slot in hits if p > slot)
+    loss = sum(slot - p for p, slot in hits if p <= slot)
+    assert breakdown.total - static.total == \
+        breakdown.matching + breakdown.replacement - gain + loss
+
+
 @given(w=workloads())
 def test_serve_amr_is_deterministic(w):
     assert listed(serve_amr(w)) == listed(serve_amr(w))
@@ -285,11 +300,6 @@ def test_huge_capacity_allocates_nothing_per_slot():
         tracemalloc.stop()
     assert peak < 2**20
     assert (breakdown, trace) == listed(serve_amr(make_workload(elements, requests, 3)))
-
-
-def test_buffer_rejects_negative_capacity():
-    with pytest.raises(ValueError):
-        Buffer(-1)
 
 
 def test_matchless_search_finds_qualifying_workloads():
@@ -370,7 +380,7 @@ def test_long_window_matches_agree_with_oracle(l, idxs):
     for t, x in enumerate(requests.requests, start=1):
         matched = match_parallel(lst, position(lst, x), requests, t)
         assert matched == positional_matches(elements, requests.requests, t)
-        matched.append((0, "Z"))  # a copy: the cached row stays as it was
+        matched.append((0, "Z"))  # a new list: the cached row stays as it was
     assert (0, "Z") not in itertools.chain.from_iterable(requests.step_matches(lst))
 
 
@@ -388,7 +398,9 @@ def test_step_table_rows_agree_with_oracle(data):
         table = requests.step_matches(lst)
         assert len(table) == requests.n + 1 and not table[0]
         for t in range(1, requests.n + 1):
-            assert list(table[t]) == positional_matches(lst.elements, requests.requests, t)
+            # a row holds the matched elements; each one's offset is its position
+            assert [(lst.positions[e], e) for e in table[t]] == \
+                positional_matches(lst.elements, requests.requests, t)
 
 
 def test_every_list_length_reads_the_step_table():

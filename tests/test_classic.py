@@ -26,6 +26,7 @@ from listlab.workloads import generate, spec_from_dist_token
 from oracles import (
     mtf_full_total,
     opt_full_total,
+    pair_opt_bound,
     pair_total,
     run_classic_reference,
     static_full_total,
@@ -268,6 +269,48 @@ def test_partial_totals_are_pair_sums(w):
 def test_wide_partial_totals_are_pair_sums():
     # l=1000 is far wider than any OPT check reaches
     _assert_partial_totals_are_pair_sums(generate(spec_from_dist_token("uniform", 1000, 2000, 7), 0))
+
+
+def _assert_pair_opt_bound_holds(w):
+    elements, requests = w.list.elements, w.requests.requests
+    bound = pair_opt_bound(elements, requests)
+    totals = {a: run_classic(a, PARTIAL, w)[0].total for a in CLASSIC_ALGORITHMS}
+    # transpose lacks the pairwise property, so only the bound checks it
+    assert bound <= min(totals.values()), totals
+    # Sleator & Tarjan's bound for move-to-front, against a lower bound on OPT
+    assert totals["mtf"] <= 2 * bound
+
+
+@given(w=skewed_workloads(max_l=40, max_n=80))
+def test_pair_opt_bound_is_below_every_partial_total(w):
+    _assert_pair_opt_bound_holds(w)
+
+
+@given(w=workloads(max_l=5, max_n=12))
+def test_pair_opt_bound_is_below_the_offline_optimum(w):
+    # full = partial + n, and the pair optima sum to at most OPT's partial total
+    bound = pair_opt_bound(w.list.elements, w.requests.requests)
+    opt = opt_full_total(w.list.elements, w.requests.requests)
+    assert bound + w.requests.n <= opt
+    if w.list.l <= 2:  # at most one pair, which is the whole list
+        assert bound + w.requests.n == opt
+
+
+def test_pair_opt_bound_on_short_sequences():
+    # A B, requests B B: one paid exchange puts B in front, then both
+    # accesses are free
+    assert pair_opt_bound(("A", "B"), ("B", "B")) == 1
+    # A B, requests B A B A: keeping A in front costs 1 per B, so the
+    # optimum is 2; mtf moves each request to the front and pays 1 for
+    # every access, 4, which meets its bound of twice the optimum
+    w = _workload(("A", "B"), ("B", "A", "B", "A"))
+    assert pair_opt_bound(w.list.elements, w.requests.requests) == 2
+    assert run_classic("mtf", PARTIAL, w)[0].total == 4
+
+
+def test_wide_pair_opt_bound_holds():
+    # l=1000, where no OPT check reaches
+    _assert_pair_opt_bound_holds(generate(spec_from_dist_token("uniform", 1000, 2000, 7), 0))
 
 
 @pytest.mark.parametrize("algorithm", CLASSIC_ALGORITHMS)

@@ -84,6 +84,26 @@ def test_run_invalid_workload(tmp_path, capsys):
     assert "duplicate element" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_negative_buffer_file_is_an_invalid_workload(command, tmp_path, capsys):
+    # the buffer line parses as an integer; the workload rules reject it
+    path = tmp_path / "neg.workload"
+    path.write_text("list: A B\nbuffer: -1\nrequests: A\n", encoding="utf-8")
+    assert main([command, "--workload", str(path), "--algorithm", "amr"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: invalid workload: negative buffer capacity -1\n"
+
+
+def test_gen_names_a_negative_buffer(tmp_path, capsys):
+    out_path = tmp_path / "w.workload"
+    argv = ["gen", "--dist", "uniform", "--list-size", "4", "--length", "8", "--buffer", "-1",
+            "-o", str(out_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: buffer capacity must be >= 0, got -1\n"
+    assert not out_path.exists()
+
+
 def test_run_short_sequence_warns_on_stderr(tmp_path, capsys):
     path = tmp_path / "short.workload"
     path.write_text("list: A B C\nbuffer: 1\nrequests: B A\n", encoding="utf-8")
@@ -268,7 +288,7 @@ def test_bad_model_token_is_rejected_before_any_run(command, demo_path, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err == "error: unknown cost model kind 'bogus'\n"
 
 
 def test_compare_prices_every_model_like_a_single_run(tmp_path, capsys):

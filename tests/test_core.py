@@ -200,7 +200,8 @@ def test_parse_non_integer_buffer():
 
 
 def test_parse_negative_buffer():
-    with pytest.raises(ParseError):
+    # an integer buffer parses; the workload rules reject a negative one
+    with pytest.raises(InvalidWorkload, match="^negative buffer capacity -1$"):
         parse_workload("list: A\nbuffer: -1\nrequests: A\n")
 
 

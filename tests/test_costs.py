@@ -9,7 +9,6 @@ from listlab.costs import (
     CostModel,
     ExchangeKind,
     OutOfRange,
-    Unsupported,
     access_cost,
     center_position,
     exchange_cost,
@@ -87,20 +86,13 @@ def test_free_exchange_costs_nothing_under_full():
     assert exchange_cost(FULL, ExchangeKind.FREE_ELIGIBLE, 8) == 0
 
 
-def test_paid_exchange_costs_one_each():
-    assert exchange_cost(FULL, ExchangeKind.PAID, 3) == 3
-    assert exchange_cost(PARTIAL, ExchangeKind.PAID, 5) == 5
-
-
 def test_pd_charges_both_kinds():
-    assert exchange_cost(pd(2), ExchangeKind.FREE_ELIGIBLE, 2) == 4
-    assert exchange_cost(pd(2), ExchangeKind.PAID, 2) == 4
-
-
-def test_centralized_paid_movement_refused():
-    with pytest.raises(Unsupported):
-        exchange_cost(CENTRALIZED, ExchangeKind.PAID, 1)
-    assert exchange_cost(CENTRALIZED, ExchangeKind.FREE_ELIGIBLE, 4) == 0
+    # pd charges d for every exchange, free-eligible ones included; the
+    # other models charge none
+    free = ExchangeKind.FREE_ELIGIBLE
+    assert exchange_cost(pd(2), free, 2) == 4
+    assert exchange_cost(pd(3), free, 5) == 15
+    assert [exchange_cost(m, free, 4) for m in (FULL, PARTIAL, CENTRALIZED)] == [0, 0, 0]
 
 
 @pytest.mark.parametrize("model", ALL_MODELS)
@@ -121,7 +113,7 @@ def test_free_exchange_cost_is_additive(model, a, b):
 
 def test_negative_transpositions_rejected():
     with pytest.raises(ValueError):
-        exchange_cost(FULL, ExchangeKind.PAID, -1)
+        exchange_cost(pd(2), ExchangeKind.FREE_ELIGIBLE, -1)
 
 
 def test_pd_requires_positive_charge():

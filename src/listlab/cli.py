@@ -83,7 +83,7 @@ def format_trace_line(ev) -> str:
     )
 
 
-def _write(path: str, chunks) -> None:
+def write_file(path: str, chunks) -> None:
     """Stream text chunks to a file; a failed write is an input error."""
     try:
         with open(path, "w", encoding="utf-8") as out:
@@ -92,7 +92,7 @@ def _write(path: str, chunks) -> None:
         raise CliError(f"cannot write {path}: {exc}") from None
 
 
-def _distinct_paths(**paths: str | None) -> None:
+def distinct_paths(**paths: str | None) -> None:
     """Reject an empty path, and an output path that names the workload
     or another output; None means the flag was not given."""
     seen: dict[str, str] = {}
@@ -159,7 +159,7 @@ def run_pair(algorithm: str, model: CostModel | None, w: Workload, steps=None):
 
 
 def cmd_run(args) -> int:
-    _distinct_paths(workload=args.workload, trace=args.trace, csv=args.csv)
+    distinct_paths(workload=args.workload, trace=args.trace, csv=args.csv)
     model = None if args.model is None else _parse_model(args.model)
     row, steps = run_pair(args.algorithm, model, _load_workload(args.workload))
     print(f"algorithm={row.algorithm} model={row.model} n={row.n} l={row.l} buffer={row.buffer}")
@@ -169,9 +169,9 @@ def cmd_run(args) -> int:
     )
     if args.trace:
         # streamed: one event at a time from the lazy steps
-        _write(args.trace, (format_trace_line(ev) + "\n" for ev in steps))
+        write_file(args.trace, (format_trace_line(ev) + "\n" for ev in steps))
     if args.csv:
-        _write(args.csv, [rows_to_csv([row])])
+        write_file(args.csv, [rows_to_csv([row])])
     return 0
 
 
@@ -184,7 +184,7 @@ def split_tokens(raw: str, what: str) -> list[str]:
 
 
 def cmd_compare(args) -> int:
-    _distinct_paths(workload=args.workload, csv=args.csv)
+    distinct_paths(workload=args.workload, csv=args.csv)
     algorithms = split_tokens(args.algorithm, "algorithm")
     for a in algorithms:
         if a not in ALGORITHM_TOKENS:
@@ -206,18 +206,18 @@ def cmd_compare(args) -> int:
     text = rows_to_csv(rows)
     sys.stdout.write(text)
     if args.csv:
-        _write(args.csv, [text])
+        write_file(args.csv, [text])
     return 0
 
 
 def cmd_gen(args) -> int:
-    _distinct_paths(output=args.output)
+    distinct_paths(output=args.output)
     try:
         spec = spec_from_dist_token(
             args.dist, list_size=args.list_size, length=args.length, seed=args.seed
         )
         w = generate(spec, buffer_capacity=args.buffer)
-    except InvalidSpec as exc:
+    except (InvalidSpec, InvalidWorkload) as exc:
         raise CliError(str(exc)) from None
     text = serialize_workload(w)
     echo = (
@@ -225,7 +225,7 @@ def cmd_gen(args) -> int:
         f"seed={spec.seed} buffer={w.buffer_capacity}"
     )
     if args.output:
-        _write(args.output, [text])
+        write_file(args.output, [text])
         print(echo)
         print(f"wrote {args.output}")
     else:

@@ -14,10 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 
-class NotInList(LookupError):
-    """Requested element does not occur in the list."""
-
-
 class InvalidWorkload(ValueError):
     """Workload failed validation; the message lists every violation."""
 
@@ -82,19 +78,19 @@ class RequestSequence:
         k <= pos(r_t), that is the positional matches of a list access at
         t, in increasing k; () when there are none. A match's offset k is
         its element's list position, so rows hold only the elements. One
-        pass files request j under t = j - pos(r_j), which relies on
-        distinct list elements. The table is cached with the list object
-        it was built from and rebuilt for any other list.
+        pass files request j under t = j - pos(r_j), which relies on the
+        list holding each request's element once. The table is cached
+        with the list object it was built from, rebuilt for any other.
         """
         cached = self.__dict__.get("_step_matches")
         if cached is not None and cached[0] is lst:
             return cached[1]
-        pos = lst.positions.get
+        pos = lst.positions
         requests = self.requests
         table: list[Sequence[str]] = [()] * (len(requests) + 1)
         for j, r in enumerate(requests, start=1):
-            k = pos(r)
-            if k is not None and k < j and k <= pos(requests[j - k - 1], 0):
+            k = pos[r]
+            if k < j and k <= pos[requests[j - k - 1]]:
                 row = table[j - k]
                 if row:
                     row.append(r)
@@ -129,11 +125,8 @@ def make_workload(elements, requests, buffer_capacity: int) -> Workload:
 
 
 def position(lst: ListConfig, x: str) -> int:
-    """1-based position of x in the list; raises NotInList when absent."""
-    try:
-        return lst.positions[x]
-    except KeyError:
-        raise NotInList(x) from None
+    """1-based position of x, one of the list's elements."""
+    return lst.positions[x]
 
 
 def validate_workload(w: Workload) -> None:
@@ -146,24 +139,19 @@ def validate_workload(w: Workload) -> None:
     """
     elements = w.list.elements
     pos = w.list.positions
-    # Valid input passes with C-level checks alone: the tokens split back
-    # from their join exactly when each passes _valid_token, and pos has
-    # l keys exactly when the elements are distinct. The messages below
-    # are built only for input that fails.
-    if (elements and len(pos) == len(elements) and w.buffer_capacity >= 0
-            and " ".join(elements).split() == list(elements)
-            and pos.keys() >= set(w.requests.requests)):
-        return
-    errors: list[str] = []
-    if w.list.l == 0:
-        errors.append("empty list")
-    for idx, e in enumerate(w.list.elements, start=1):
-        if not _valid_token(e):
-            errors.append(f"bad element token at list position {idx}: {e!r}")
-        if pos[e] != idx:
-            errors.append(f"duplicate element {e} (list positions {pos[e]} and {idx})")
-    errors += [f"request {idx}: {r} not in list"
-               for idx, r in enumerate(w.requests.requests, start=1) if r not in pos]
+    # One C-level test per rule: the tokens split back from their join
+    # exactly when each passes _valid_token, and pos has l keys exactly
+    # when the elements are distinct. Only a failed rule builds messages.
+    errors = [] if elements else ["empty list"]
+    if " ".join(elements).split() != list(elements) or len(pos) != len(elements):
+        for idx, e in enumerate(elements, start=1):
+            if not _valid_token(e):
+                errors.append(f"bad element token at list position {idx}: {e!r}")
+            if pos[e] != idx:
+                errors.append(f"duplicate element {e} (list positions {pos[e]} and {idx})")
+    if not pos.keys() >= set(w.requests.requests):
+        errors += [f"request {idx}: {r} not in list"
+                   for idx, r in enumerate(w.requests.requests, start=1) if r not in pos]
     if w.buffer_capacity < 0:
         errors.append(f"negative buffer capacity {w.buffer_capacity}")
     if errors:

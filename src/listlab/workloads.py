@@ -141,23 +141,16 @@ class GeneratorSpec:
             raise InvalidSpec(f"burst needs run length >= 1, got {self.run_length}")
 
 
-def element_name(pos: int) -> str:
-    if 1 <= pos <= 26:
-        return chr(ord("A") + pos - 1)
-    return f"E{pos}"
-
-
 def list_elements(list_size: int) -> tuple[str, ...]:
-    """element_name(1), ..., element_name(list_size)."""
+    """The first list_size element names, in list order."""
     return (tuple(map(chr, range(ord("A"), ord("A") + min(list_size, 26))))
             + tuple(f"E{p}" for p in range(27, list_size + 1)))
 
 
 def generate(spec: GeneratorSpec, buffer_capacity: int = 3) -> Workload:
-    """Deterministic workload for the spec; same seed, same sequence."""
+    """Deterministic workload for the spec; same seed, same sequence.
+    Workload rejects a negative buffer capacity (InvalidWorkload)."""
     n = spec.list_size if spec.dist == "reverse" else spec.length
-    if buffer_capacity < 0:
-        raise InvalidSpec(f"buffer capacity must be >= 0, got {buffer_capacity}")
     elements = list_elements(spec.list_size)
     pick = elements.__getitem__
     if spec.dist == "reverse":

@@ -1,27 +1,42 @@
 """Independent recomputation helpers used to cross-check engine output.
 
 Everything here is written from the cost definitions directly, without
-calling into the engines, so tests can compare two routes to the same
-number.
+calling into the engines or the package's cost functions, so tests can
+compare two routes to the same number. Only the package's value types
+are shared.
 """
 
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import inf
+from math import ceil, inf
 from operator import add
 
 from listlab.classic import CLASSIC_ALGORITHMS
-from listlab.core import ListConfig, NotInList, RequestSequence, Workload
-from listlab.costs import (
-    CostBreakdown,
-    ExchangeKind,
-    StepEvent,
-    Unsupported,
-    access_cost,
-    exchange_cost,
-)
-from listlab.workloads import InvalidSpec, element_name
+from listlab.core import ListConfig, RequestSequence, Workload
+from listlab.costs import CostBreakdown, StepEvent, Unsupported
+
+
+def access_cost(model, i, l):
+    """An access at list position i of l: full and pd:<d> charge i,
+    partial the i - 1 elements in front, and centralized the distance
+    from the central position ceil((l + 1) / 2)."""
+    if model.kind == "partial":
+        return i - 1
+    if model.kind == "centralized":
+        return abs(i - ceil((l + 1) / 2))
+    return i
+
+
+def exchange_cost(model, moves):
+    """moves adjacent exchanges that move the accessed element toward the
+    front: d each under pd:<d>, free under full, partial and centralized."""
+    return moves * model.d if model.kind == "pd" else 0
+
+
+def name_at(p):
+    """The generators' name for list position p: A..Z, then E27, E28, ..."""
+    return chr(ord("A") + p - 1) if p <= 26 else f"E{p}"
 
 
 def static_full_total(elements, requests):
@@ -59,10 +74,7 @@ def run_classic_reference(algorithm, model, workload):
     exchange = 0
     trace = []
     for t, x in enumerate(workload.requests.requests, start=1):
-        try:
-            idx = ordering.index(x)
-        except ValueError:
-            raise NotInList(x) from None
+        idx = ordering.index(x)
         i = idx + 1
         step_access = access_cost(model, i, l)
         moves = 0
@@ -86,7 +98,7 @@ def run_classic_reference(algorithm, model, workload):
                 ordering.insert(j, x)
             moves = idx - j
         access += step_access
-        exchange += exchange_cost(model, ExchangeKind.FREE_ELIGIBLE, moves)
+        exchange += exchange_cost(model, moves)
         trace.append(StepEvent(t, x, "list", i, step_access, transpositions=moves))
     return CostBreakdown(access=access, exchange=exchange), trace, ordering
 
@@ -406,11 +418,9 @@ class SplitMix64:
 
 def generate_reference(spec, buffer_capacity=3):
     """workloads.generate with one SplitMix64 call per draw and one
-    element_name call per element."""
+    name_at call per element."""
     n = spec.list_size if spec.dist == "reverse" else spec.length
-    if buffer_capacity < 0:
-        raise InvalidSpec(f"buffer capacity must be >= 0, got {buffer_capacity}")
-    elements = tuple(element_name(p) for p in range(1, spec.list_size + 1))
+    elements = tuple(name_at(p) for p in range(1, spec.list_size + 1))
     rng = SplitMix64(spec.seed)
     if spec.dist == "reverse":
         requests = tuple(reversed(elements))

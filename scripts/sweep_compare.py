@@ -12,7 +12,8 @@ import sys
 from dataclasses import replace
 
 from listlab.classic import CLASSIC_ALGORITHMS
-from listlab.cli import CliError, distinct_paths, rows_to_csv, run_pair, split_tokens, write_file
+from listlab.cli import CliError, distinct_paths, guard, rows_to_csv, run_pair
+from listlab.cli import split_tokens, write_file
 from listlab.workloads import generate, spec_from_dist_token
 
 
@@ -27,28 +28,25 @@ def main() -> int:
     ap.add_argument("-o", "--output", help="CSV path (default: stdout)")
     args = ap.parse_args()
 
+    distinct_paths(output=args.output)
     try:
-        distinct_paths(output=args.output)
         buffers = [int(tok) for tok in split_tokens(args.buffers, "buffers")]
-        if any(capacity < 0 for capacity in buffers):
-            raise ValueError(f"buffer capacities must be >= 0, got {args.buffers!r}")
-        # One validated spec per distribution; seeds only vary the stream.
-        specs = [
-            spec_from_dist_token(dist, args.list_size, args.length, seed=0)
-            for dist in split_tokens(args.dists, "dists")
-        ]
-        if args.seeds < 1:
-            raise ValueError(f"--seeds must be >= 1, got {args.seeds}")
-    except (CliError, ValueError) as exc:  # InvalidSpec included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except ValueError as exc:
+        raise CliError(exc) from None
+    # One validated spec per distribution; seeds only vary the stream.
+    specs = [
+        spec_from_dist_token(dist, args.list_size, args.length, seed=0)
+        for dist in split_tokens(args.dists, "dists")
+    ]
+    if args.seeds < 1:
+        raise CliError(f"--seeds must be >= 1, got {args.seeds}")
     rows = []
     for base in specs:
         for seed in range(args.seeds):
             # One list and request sequence per seed: every capacity shares
             # them, and with them the indices the amr engine caches on them.
             generated = generate(replace(base, seed=seed))
-            for capacity in buffers:
+            for capacity in buffers:  # Workload rejects a negative capacity
                 w = replace(generated, buffer_capacity=capacity)
                 for algorithm in ("amr", *CLASSIC_ALGORITHMS):
                     row, _ = run_pair(algorithm, None, w)
@@ -57,14 +55,10 @@ def main() -> int:
     if args.output is None:
         sys.stdout.write(text)
         return 0
-    try:
-        write_file(args.output, [text])
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    write_file(args.output, [text])
     print(f"wrote {len(rows)} rows to {args.output}", file=sys.stderr)
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(guard(main))

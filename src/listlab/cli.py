@@ -1,13 +1,14 @@
 """Command-line harness: run, compare, gen, paper-examples.
 
-Exit codes: 0 success, 1 a paper-examples mismatch, 2 input error,
-3 unsupported algorithm/model pair. Identical invocations produce byte-identical stdout, CSV and
-trace output.
+Exit codes: 0 success, 1 a paper-examples mismatch, 2 input error or a
+stdout that cannot be written, 3 unsupported algorithm/model pair; guard maps
+each error to its code. Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import os
@@ -29,14 +30,14 @@ from .core import (
     serialize_workload,
     validate_workload,
 )
-from .costs import FULL, CostModel, Unsupported, model_token, parse_model_token
+from .costs import FULL, CostModel, InvalidModel, Unsupported, model_token, parse_model_token
 from .workloads import InvalidSpec, generate, spec_from_dist_token
 
 ALGORITHM_TOKENS = CLASSIC_ALGORITHMS + ("amr",)
 
 
 class CliError(Exception):
-    """An input error; main prints it as one error: line and exits 2."""
+    """An input error; guard prints it as one error: line and exits 2."""
 
 
 class ComparisonRow(NamedTuple):
@@ -124,13 +125,6 @@ def _load_workload(path: str) -> Workload:
     return w
 
 
-def _parse_model(token: str) -> CostModel:
-    try:
-        return parse_model_token(token)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-
-
 def run_pair(algorithm: str, model: CostModel | None, w: Workload, steps=None):
     """Run one (algorithm, model) pair; returns (ComparisonRow, steps).
 
@@ -160,7 +154,7 @@ def run_pair(algorithm: str, model: CostModel | None, w: Workload, steps=None):
 
 def cmd_run(args) -> int:
     distinct_paths(workload=args.workload, trace=args.trace, csv=args.csv)
-    model = None if args.model is None else _parse_model(args.model)
+    model = None if args.model is None else parse_model_token(args.model)
     row, steps = run_pair(args.algorithm, model, _load_workload(args.workload))
     print(f"algorithm={row.algorithm} model={row.model} n={row.n} l={row.l} buffer={row.buffer}")
     print(
@@ -189,7 +183,7 @@ def cmd_compare(args) -> int:
     for a in algorithms:
         if a not in ALGORITHM_TOKENS:
             raise CliError(f"unknown algorithm token {a!r}")
-    models = [_parse_model(tok) for tok in split_tokens(args.model, "model")]
+    models = [parse_model_token(tok) for tok in split_tokens(args.model, "model")]
     w = _load_workload(args.workload)
     rows = []
     for a in algorithms:
@@ -212,13 +206,10 @@ def cmd_compare(args) -> int:
 
 def cmd_gen(args) -> int:
     distinct_paths(output=args.output)
-    try:
-        spec = spec_from_dist_token(
-            args.dist, list_size=args.list_size, length=args.length, seed=args.seed
-        )
-        w = generate(spec, buffer_capacity=args.buffer)
-    except (InvalidSpec, InvalidWorkload) as exc:
-        raise CliError(str(exc)) from None
+    spec = spec_from_dist_token(
+        args.dist, list_size=args.list_size, length=args.length, seed=args.seed
+    )
+    w = generate(spec, buffer_capacity=args.buffer)
     text = serialize_workload(w)
     echo = (
         f"dist={args.dist} list-size={spec.list_size} length={w.requests.n} "
@@ -229,7 +220,7 @@ def cmd_gen(args) -> int:
         print(echo)
         print(f"wrote {args.output}")
     else:
-        sys.stdout.write(text)
+        print(text, end="", flush=True)  # a failed write stops gen before the echo
         print(echo, file=sys.stderr)
     return 0
 
@@ -300,16 +291,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def guard(func, *args) -> int:
+    """Call func(*args), flush stdout and return func's exit code. Unsupported
+    exits 3, and an input error or a failed stdout write exits 2, each with
+    one error: line on stderr."""
+    try:
+        try:
+            return func(*args)
+        finally:
+            sys.stdout.flush()
+    except Unsupported as exc:
+        code, message = 3, exc
+    except (CliError, InvalidModel, InvalidSpec, InvalidWorkload) as exc:
+        code, message = 2, exc
+    except OSError as exc:  # write_file reports its own paths as CliError
+        code, message = 2, f"cannot write stdout: {exc}"
+        with contextlib.suppress(OSError):
+            sys.stdout.close()  # else exit would flush the unwritten rest again
+    print(f"error: {message}", file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except Unsupported as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    return guard(args.func, args)
 
 
 if __name__ == "__main__":

@@ -21,6 +21,10 @@ class Unsupported(ValueError):
     """Algorithm/model combination this library deliberately refuses."""
 
 
+class InvalidModel(ValueError):
+    """A cost model token or field that names no model."""
+
+
 class ExchangeKind(enum.Enum):
     # Moving the just-accessed item toward the front is free under the
     # full and partial models, and it is the only exchange the algorithms
@@ -40,9 +44,9 @@ class CostModel:
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
-            raise ValueError(f"unknown cost model kind {self.kind!r}")
+            raise InvalidModel(f"unknown cost model kind {self.kind!r}")
         if self.kind == "pd" and self.d < 1:
-            raise ValueError(f"pd model needs d >= 1, got {self.d}")
+            raise InvalidModel(f"pd model needs d >= 1, got {self.d}")
 
 
 FULL = CostModel("full")
@@ -61,14 +65,14 @@ def parse_model_token(token: str) -> CostModel:
     name, sep, arg = token.partition(":")
     if name == "pd":
         if not sep:
-            raise ValueError("pd model needs a charge, e.g. pd:2")
+            raise InvalidModel("pd model needs a charge, e.g. pd:2")
         try:
             d = int(arg)
         except ValueError:
-            raise ValueError(f"pd charge must be an integer, got {arg!r}") from None
+            raise InvalidModel(f"pd charge must be an integer, got {arg!r}") from None
         return CostModel("pd", d)
     if sep:
-        raise ValueError(f"model {name!r} takes no argument")
+        raise InvalidModel(f"model {name!r} takes no argument")
     return CostModel(name)
 
 

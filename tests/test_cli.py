@@ -1,4 +1,11 @@
+import errno
+import io
+import os
+import subprocess
+import sys
 import tracemalloc
+from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -494,6 +501,52 @@ def test_empty_path_exits_two_before_any_write(argv, flag, demo_path, tmp_path, 
     assert capsys.readouterr() == ("", f"error: {flag} names no file\n")
     assert [p.name for p in tmp_path.iterdir()] == ["demo.workload"]
     assert (tmp_path / "demo.workload").read_bytes() == DEMO.encode()
+
+
+ROOT = Path(__file__).resolve().parent.parent
+SCRIPTS = ROOT / "scripts"
+
+# Every entry point that writes to stdout, as a child's argv after the interpreter.
+ENTRY_POINTS = {
+    "gen": ["-m", "listlab.cli", "gen", "--dist", "reverse", "--list-size", "3"],
+    "run": ["-m", "listlab.cli", "run", "--workload", "{demo}", "--algorithm", "amr"],
+    "compare": ["-m", "listlab.cli", "compare", "--workload", "{demo}", "--algorithm", "mtf"],
+    "paper-examples": ["-m", "listlab.cli", "paper-examples"],
+    "sweep_compare": [str(SCRIPTS / "sweep_compare.py"), "--seeds", "1", "--buffers", "1"],
+    "buffer_sensitivity": [str(SCRIPTS / "buffer_sensitivity.py"), "--max-buffer", "0"],
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_unwritable_stdout_is_one_error_line_and_exit_two(entry, buffered, demo_path):
+    # Buffered, the write fails in the final flush; unbuffered, in the command.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [arg.format(demo=demo_path) for arg in ENTRY_POINTS[entry]]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, *argv], stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+BROKEN_PIPE = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+class BrokenPipeStdout(io.StringIO):
+    def write(self, text):
+        raise BROKEN_PIPE
+
+
+def test_broken_pipe_stdout_in_process(capsys):
+    with redirect_stdout(BrokenPipeStdout()):
+        assert main(["paper-examples"]) == 2
+    assert capsys.readouterr().err == f"error: cannot write stdout: {BROKEN_PIPE}\n"
 
 
 # --- CSV round trip ----------------------------------------------------------

@@ -8,6 +8,7 @@ from listlab.costs import (
     CostBreakdown,
     CostModel,
     ExchangeKind,
+    InvalidModel,
     OutOfRange,
     access_cost,
     center_position,
@@ -117,9 +118,9 @@ def test_negative_transpositions_rejected():
 
 
 def test_pd_requires_positive_charge():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidModel):
         CostModel("pd", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidModel):
         CostModel("bogus")
 
 
@@ -130,7 +131,7 @@ def test_model_token_round_trip(token):
 
 @pytest.mark.parametrize("token", ["pd", "pd:x", "pd:0", "full:1", "bogus", ""])
 def test_bad_model_tokens(token):
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidModel):
         parse_model_token(token)
 
 

@@ -35,28 +35,31 @@ def test_script_output_matches_golden_bytes(case):
     assert proc.stdout.encode() == (GOLDEN / f"{case}.stdout").read_bytes()
 
 
+# A case that names its stderr is pinned to those bytes.
 @pytest.mark.parametrize(
-    "argv",
+    "argv, stderr",
     [
-        ["sweep_compare.py", "--buffers", "a"],
-        ["sweep_compare.py", "--buffers", "-1"],
-        ["sweep_compare.py", "--list-size", "0"],
-        ["sweep_compare.py", "--seeds", "1", "-o", "{nodir}"],
-        ["buffer_sensitivity.py", "--dist", "bogus"],
-        ["sweep_compare.py", "--list-size", "0", "--seeds", "0"],
-        ["sweep_compare.py", "--seeds", "0"],
-        ["sweep_compare.py", "--dists", ""],
-        ["sweep_compare.py", "--buffers", ""],
-        ["buffer_sensitivity.py", "--max-buffer", "-1"],
-        ["sweep_compare.py", "--seeds", "1", "-o", ""],
+        (["sweep_compare.py", "--buffers", "a"], None),
+        # the Workload rule's message, as `listlab gen --buffer -1` prints it
+        (["sweep_compare.py", "--buffers", "-1"], "error: negative buffer capacity -1\n"),
+        (["sweep_compare.py", "--list-size", "0"], None),
+        (["sweep_compare.py", "--seeds", "1", "-o", "{nodir}"], None),
+        (["buffer_sensitivity.py", "--dist", "bogus"], None),
+        (["sweep_compare.py", "--list-size", "0", "--seeds", "0"], None),
+        (["sweep_compare.py", "--seeds", "0"], None),
+        (["sweep_compare.py", "--dists", ""], None),
+        (["sweep_compare.py", "--buffers", ""], None),
+        (["buffer_sensitivity.py", "--max-buffer", "-1"], None),
+        (["sweep_compare.py", "--seeds", "1", "-o", ""], None),
     ],
     ids=["sweep-buffers", "sweep-negative-buffer", "sweep-list-size", "sweep-output",
          "sensitivity-dist", "sweep-list-size-no-seeds", "sweep-no-seeds", "sweep-no-dists",
          "sweep-no-buffers", "sensitivity-negative-max-buffer", "sweep-empty-output"],
 )
-def test_bad_input_is_one_error_line_and_exit_two(argv, tmp_path):
+def test_bad_input_is_one_error_line_and_exit_two(argv, stderr, tmp_path):
     script, *args = argv
     args = [arg.format(nodir=tmp_path / "missing" / "x.csv") for arg in args]
     proc = run_script(script, *args)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert stderr is None or proc.stderr == stderr

@@ -14,6 +14,7 @@ from dataclasses import replace
 from listlab.classic import CLASSIC_ALGORITHMS
 from listlab.cli import CliError, distinct_paths, guard, rows_to_csv, run_pair
 from listlab.cli import split_tokens, write_file
+from listlab.core import check_buffer
 from listlab.workloads import generate, spec_from_dist_token
 
 
@@ -29,8 +30,8 @@ def main() -> int:
     args = ap.parse_args()
 
     distinct_paths(output=args.output)
-    try:
-        buffers = [int(tok) for tok in split_tokens(args.buffers, "buffers")]
+    try:  # before any seed is served; InvalidWorkload is a ValueError
+        buffers = [check_buffer(int(tok)) for tok in split_tokens(args.buffers, "buffers")]
     except ValueError as exc:
         raise CliError(exc) from None
     # One validated spec per distribution; seeds only vary the stream.
@@ -46,7 +47,7 @@ def main() -> int:
             # One list and request sequence per seed: every capacity shares
             # them, and with them the indices the amr engine caches on them.
             generated = generate(replace(base, seed=seed))
-            for capacity in buffers:  # Workload rejects a negative capacity
+            for capacity in buffers:
                 w = replace(generated, buffer_capacity=capacity)
                 for algorithm in ("amr", *CLASSIC_ALGORITHMS):
                     row, _ = run_pair(algorithm, None, w)

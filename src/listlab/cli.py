@@ -18,9 +18,8 @@ from typing import NamedTuple
 
 from .amr import serve_amr
 from .classic import CLASSIC_ALGORITHMS, reprice, run_classic
-# validate_workload is not called here: Workload checks itself when it is
-# built. The import stays because perfbench/tracer.py wraps
-# cli.validate_workload by name.
+# Workload checks itself, so validate_workload is not called here; the
+# import stays because perfbench/tracer.py wraps cli.validate_workload.
 from .core import (
     InvalidWorkload,
     ParseError,
@@ -294,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 def guard(func, *args) -> int:
     """Call func(*args), flush stdout and return func's exit code. Unsupported
     exits 3, and an input error or a failed stdout write exits 2, each with
-    one error: line on stderr."""
+    one error: line on stderr, or none if stderr cannot be written."""
     try:
         try:
             return func(*args)
@@ -308,13 +307,17 @@ def guard(func, *args) -> int:
         code, message = 2, f"cannot write stdout: {exc}"
         with contextlib.suppress(OSError):
             sys.stdout.close()  # else exit would flush the unwritten rest again
-    print(f"error: {message}", file=sys.stderr)
+    try:
+        print(f"error: {message}", file=sys.stderr)
+    except OSError:  # nothing is left to report on but the exit code
+        with contextlib.suppress(OSError):
+            sys.stderr.close()  # as for stdout
     return code
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return guard(args.func, args)
+    # parsed inside guard, so that a --help that cannot be written exits 2
+    return guard(lambda: (args := build_parser().parse_args(argv)).func(args))
 
 
 if __name__ == "__main__":

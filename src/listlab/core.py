@@ -129,6 +129,14 @@ def position(lst: ListConfig, x: str) -> int:
     return lst.positions[x]
 
 
+def check_buffer(capacity: int, errors: Sequence[str] = ()) -> int:
+    """The buffer rule: raise InvalidWorkload for `errors` or a negative capacity."""
+    errors = [*errors, f"negative buffer capacity {capacity}"] if capacity < 0 else errors
+    if errors:
+        raise InvalidWorkload("; ".join(errors))
+    return capacity
+
+
 def validate_workload(w: Workload) -> None:
     """Raise InvalidWorkload listing every violation that would leave an
     engine undefined, joined by "; ".
@@ -152,10 +160,7 @@ def validate_workload(w: Workload) -> None:
     if not pos.keys() >= set(w.requests.requests):
         errors += [f"request {idx}: {r} not in list"
                    for idx, r in enumerate(w.requests.requests, start=1) if r not in pos]
-    if w.buffer_capacity < 0:
-        errors.append(f"negative buffer capacity {w.buffer_capacity}")
-    if errors:
-        raise InvalidWorkload("; ".join(errors))
+    check_buffer(w.buffer_capacity, errors)
 
 
 _KEYS = ("list", "buffer", "requests")

@@ -22,7 +22,7 @@ from functools import partial
 from itertools import accumulate, chain, islice, repeat
 from typing import Iterator
 
-from .core import ListConfig, RequestSequence, Workload
+from .core import ListConfig, RequestSequence, Workload, check_buffer
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -149,7 +149,8 @@ def list_elements(list_size: int) -> tuple[str, ...]:
 
 def generate(spec: GeneratorSpec, buffer_capacity: int = 3) -> Workload:
     """Deterministic workload for the spec; same seed, same sequence.
-    Workload rejects a negative buffer capacity (InvalidWorkload)."""
+    A negative buffer capacity raises InvalidWorkload before any draw."""
+    check_buffer(buffer_capacity)
     n = spec.list_size if spec.dist == "reverse" else spec.length
     elements = list_elements(spec.list_size)
     pick = elements.__getitem__

@@ -102,7 +102,13 @@ def test_negative_buffer_file_is_an_invalid_workload(command, tmp_path, capsys):
     assert captured.err == f"error: {path}: invalid workload: negative buffer capacity -1\n"
 
 
-def test_gen_names_a_negative_buffer(tmp_path, capsys):
+def draws_nothing(*args):
+    raise AssertionError("a request was drawn")
+
+
+def test_gen_names_a_negative_buffer(tmp_path, monkeypatch, capsys):
+    # the buffer rule runs before any request is drawn
+    monkeypatch.setattr("listlab.workloads.splitmix64", draws_nothing)
     out_path = tmp_path / "w.workload"
     argv = ["gen", "--dist", "uniform", "--list-size", "4", "--length", "8", "--buffer", "-1",
             "-o", str(out_path)]
@@ -514,25 +520,52 @@ ENTRY_POINTS = {
     "paper-examples": ["-m", "listlab.cli", "paper-examples"],
     "sweep_compare": [str(SCRIPTS / "sweep_compare.py"), "--seeds", "1", "--buffers", "1"],
     "buffer_sensitivity": [str(SCRIPTS / "buffer_sensitivity.py"), "--max-buffer", "0"],
+    "help": ["-m", "listlab.cli", "--help"],
+}
+# Unbuffered, argparse drops a failed --help write and exits 0.
+UNWRITABLE_STDOUT = [(entry, buffered) for entry in sorted(ENTRY_POINTS)
+                     for buffered in (True, False) if buffered or entry != "help"]
+
+
+def child_env(buffered):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("entry, buffered", UNWRITABLE_STDOUT,
+                         ids=[f"{e}-{'buffered' if b else 'unbuffered'}" for e, b in UNWRITABLE_STDOUT])
+def test_unwritable_stdout_is_one_error_line_and_exit_two(entry, buffered, demo_path):
+    # Buffered, the write fails in the final flush; unbuffered, in the command.
+    argv = [arg.format(demo=demo_path) for arg in ENTRY_POINTS[entry]]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, *argv], stdout=full, stderr=subprocess.PIPE,
+                              text=True, env=child_env(buffered), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+# An input error, and gen's echo, which goes to stderr.
+STDERR_WRITERS = {
+    "input-error": ["-m", "listlab.cli", "run", "--workload", "missing", "--algorithm", "amr"],
+    "gen-echo": ENTRY_POINTS["gen"],
 }
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-def test_unwritable_stdout_is_one_error_line_and_exit_two(entry, buffered, demo_path):
-    # Buffered, the write fails in the final flush; unbuffered, in the command.
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    env.pop("PYTHONUNBUFFERED", None)
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    argv = [arg.format(demo=demo_path) for arg in ENTRY_POINTS[entry]]
+@pytest.mark.parametrize("entry", sorted(STDERR_WRITERS))
+def test_unwritable_stderr_still_exits_two(entry, buffered, tmp_path):
+    # The error line cannot be written, so the exit code alone reports it;
+    # 1 would mean a paper mismatch and 120 a failed flush at exit.
     with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, *argv], stdout=full, stderr=subprocess.PIPE,
-                              text=True, env=env, timeout=60)
+        proc = subprocess.run([sys.executable, *STDERR_WRITERS[entry]], stdout=subprocess.PIPE,
+                              stderr=full, cwd=tmp_path, env=child_env(buffered), timeout=60)
     assert proc.returncode == 2
-    assert proc.stderr.startswith("error: cannot write stdout: ")
-    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 BROKEN_PIPE = BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))

@@ -1,9 +1,12 @@
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from listlab.cli import guard
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).parent / "golden"
@@ -63,3 +66,19 @@ def test_bad_input_is_one_error_line_and_exit_two(argv, stderr, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert stderr is None or proc.stderr == stderr
+
+
+def test_sweep_checks_every_buffer_before_serving(monkeypatch, capsys):
+    path = ROOT / "scripts" / "sweep_compare.py"
+    spec = importlib.util.spec_from_file_location("sweep_compare", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+
+    def serve(*args, **kwargs):
+        raise AssertionError("served before every capacity was checked")
+
+    monkeypatch.setattr(sweep, "generate", serve)
+    monkeypatch.setattr(sweep, "run_pair", serve)
+    monkeypatch.setattr(sys, "argv", ["sweep_compare.py", "--seeds", "1", "--buffers", "1,-1"])
+    assert guard(sweep.main) == 2
+    assert capsys.readouterr() == ("", "error: negative buffer capacity -1\n")

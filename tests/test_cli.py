@@ -522,7 +522,7 @@ ENTRY_POINTS = {
     "buffer_sensitivity": [str(SCRIPTS / "buffer_sensitivity.py"), "--max-buffer", "0"],
     "help": ["-m", "listlab.cli", "--help"],
 }
-# Unbuffered, argparse drops a failed --help write and exits 0.
+# Unbuffered, argparse can drop a failed --help write and exit 0.
 UNWRITABLE_STDOUT = [(entry, buffered) for entry in sorted(ENTRY_POINTS)
                      for buffered in (True, False) if buffered or entry != "help"]
 

@@ -5,7 +5,6 @@ on a single generated workload, next to the static/full baseline.
 
 import argparse
 import sys
-from dataclasses import replace
 
 from listlab.cli import CliError, guard, run_pair
 from listlab.workloads import generate, spec_from_dist_token
@@ -31,7 +30,7 @@ def main() -> int:
     print(f"# static/full baseline total={baseline.total}")
     print("buffer\taccess\tmatching\treplacement\ttotal")
     for capacity in range(args.max_buffer + 1):
-        r, _ = run_pair("amr", None, replace(generated, buffer_capacity=capacity))
+        r, _ = run_pair("amr", None, generated.replace(buffer_capacity=capacity))
         print(f"{capacity}\t{r.access}\t{r.matching}\t{r.replacement}\t{r.total}")
     return 0
 

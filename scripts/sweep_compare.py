@@ -9,7 +9,6 @@ model; the buffered engine uses its own accounting.
 
 import argparse
 import sys
-from dataclasses import replace
 
 from listlab.classic import CLASSIC_ALGORITHMS
 from listlab.cli import CliError, distinct_paths, guard, rows_to_csv, run_pair
@@ -46,9 +45,9 @@ def main() -> int:
         for seed in range(args.seeds):
             # One list and request sequence per seed: every capacity shares
             # them, and with them the indices the amr engine caches on them.
-            generated = generate(replace(base, seed=seed))
+            generated = generate(base.replace(seed=seed))
             for capacity in buffers:
-                w = replace(generated, buffer_capacity=capacity)
+                w = generated.replace(buffer_capacity=capacity)
                 for algorithm in ("amr", *CLASSIC_ALGORITHMS):
                     row, _ = run_pair(algorithm, None, w)
                     rows.append(row._replace(seed=seed))

@@ -41,20 +41,17 @@ few bisections per buffer resident per list access.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from collections.abc import Iterator
 from functools import partial
 from itertools import compress
-from typing import NamedTuple
 
 from .core import ListConfig, RequestSequence, Workload, position
 from .costs import CostBreakdown, StepEvent, Steps
 
 
-class LookaheadWindow(NamedTuple):
-    """Request positions start..end inclusive; end < start means empty."""
-
-    start: int
-    end: int
+LookaheadWindow = namedtuple("LookaheadWindow", "start end")
+LookaheadWindow.__doc__ = "Request positions start..end inclusive; end < start means empty."
 
 
 def lookahead_window(t: int, i: int, n: int) -> LookaheadWindow:
@@ -282,7 +279,7 @@ def _steps(workload: Workload) -> Iterator[StepEvent]:
     flags: set[int] = set()
     n = requests.n
     # tuple.__new__ makes each StepEvent straight from its fields, without
-    # the Python-level NamedTuple constructor.
+    # the Python-level namedtuple constructor.
     new = tuple.__new__
     for t, x in enumerate(requests.requests, start=1):
         if t in flags:

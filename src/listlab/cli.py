@@ -13,8 +13,7 @@ import csv
 import io
 import os
 import sys
-from pathlib import Path
-from typing import NamedTuple
+from collections import namedtuple
 
 from .amr import serve_amr
 from .classic import CLASSIC_ALGORITHMS, reprice, run_classic
@@ -39,20 +38,9 @@ class CliError(Exception):
     """An input error; guard prints it as one error: line and exits 2."""
 
 
-class ComparisonRow(NamedTuple):
-    """One CSV record; the field names are the CSV header."""
-
-    algorithm: str
-    model: str
-    access: int
-    matching: int
-    replacement: int
-    exchange: int
-    total: int
-    n: int
-    l: int
-    buffer: int
-    seed: int | None = None
+ComparisonRow = namedtuple("ComparisonRow", "algorithm model access matching replacement "
+                           "exchange total n l buffer seed", defaults=(None,))
+ComparisonRow.__doc__ = "One CSV record; the field names are the CSV header."
 
 
 CSV_HEADER = ComparisonRow._fields
@@ -109,7 +97,8 @@ def distinct_paths(**paths: str | None) -> None:
 
 def _load_workload(path: str) -> Workload:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from None
     try:
@@ -250,8 +239,14 @@ def cmd_paper_examples(args) -> int:
     return 0 if passed == len(PAPER_EXAMPLES) else 1
 
 
+class Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse would drop a failed write; guard reports it and exits 2
+        (file or sys.stdout).write(self.format_help())
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = Parser(
         prog="listlab",
         description="Simulate list-accessing algorithms under different cost models.",
     )

@@ -10,7 +10,6 @@ engines never check again.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from functools import cached_property
 
 
@@ -27,16 +26,49 @@ class ParseError(ValueError):
         self.reason = reason
 
 
+class Value:
+    """An immutable value type. Its fields are the parameters of its
+    __init__, which stores them in __dict__ and checks them, so copies
+    from replace() are checked too. ==, hash() and repr() read the fields
+    alone, so an index cached in __dict__ later stays out of all three."""
+
+    def __init_subclass__(cls):
+        init = cls.__init__.__code__
+        cls._fields = init.co_varnames[1:init.co_argcount]
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def replace(self, **changes):
+        """A copy with `changes` applied, checked like any new instance."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
 def _valid_token(token: str) -> bool:
     """Non-empty and free of whitespace, as str.isspace() defines it."""
     return token.split() == [token]
 
 
-@dataclass(frozen=True)
-class ListConfig:
+class ListConfig(Value):
     """The fixed input list of distinct element tokens."""
 
-    elements: tuple[str, ...]
+    def __init__(self, elements: tuple[str, ...]):
+        self.__dict__["elements"] = elements
 
     @property
     def l(self) -> int:
@@ -51,13 +83,13 @@ class ListConfig:
         return dict(zip(reversed(self.elements), range(self.l, 0, -1)))
 
 
-@dataclass(frozen=True)
-class RequestSequence:
+class RequestSequence(Value):
     """The requests in order. The amr engine's indices over them (the
     occurrence lists and the table of each step's matches) are built on
     first use and cached on the sequence."""
 
-    requests: tuple[str, ...]
+    def __init__(self, requests: tuple[str, ...]):
+        self.__dict__["requests"] = requests
 
     @property
     def n(self) -> int:
@@ -96,22 +128,18 @@ class RequestSequence:
                     row.append(r)
                 else:
                     table[j - k] = [r]
-        # Frozen dataclass: write the cache slot past __setattr__, as
-        # cached_property does.
+        # Fields cannot be assigned: write the cache slot past
+        # __setattr__, as cached_property does.
         self.__dict__["_step_matches"] = (lst, table)
         return table
 
 
-@dataclass(frozen=True)
-class Workload:
+class Workload(Value):
     """A list, its requests and a buffer capacity; raises InvalidWorkload
     when built from fields that break a rule (see validate_workload)."""
 
-    list: ListConfig
-    requests: RequestSequence
-    buffer_capacity: int
-
-    def __post_init__(self):
+    def __init__(self, list: ListConfig, requests: RequestSequence, buffer_capacity: int):
+        self.__dict__.update(list=list, requests=requests, buffer_capacity=buffer_capacity)
         # Looked up as a module global, so that callers can wrap it to
         # watch every check.
         validate_workload(self)
@@ -141,8 +169,8 @@ def validate_workload(w: Workload) -> None:
     """Raise InvalidWorkload listing every violation that would leave an
     engine undefined, joined by "; ".
 
-    Workload.__post_init__ calls it, so every Workload, dataclasses.replace
-    copies included, has passed it. A request sequence shorter than the
+    Workload.__init__ calls it, so every Workload, Workload.replace copies
+    included, has passed it. A request sequence shorter than the
     list is legal for every engine here; only the CLI warns about it.
     """
     elements = w.list.elements

@@ -8,9 +8,10 @@ centralized (access costs the distance from the central position).
 from __future__ import annotations
 
 import enum
+from collections import namedtuple
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
-from typing import NamedTuple
+
+from .core import Value
 
 
 class OutOfRange(ValueError):
@@ -37,12 +38,9 @@ class ExchangeKind(enum.Enum):
 MODEL_KINDS = ("full", "partial", "pd", "centralized")
 
 
-@dataclass(frozen=True)
-class CostModel:
-    kind: str
-    d: int = 1  # per-exchange charge, pd only
-
-    def __post_init__(self):
+class CostModel(Value):
+    def __init__(self, kind: str, d: int = 1):  # d: per-exchange charge, pd only
+        self.__dict__.update(kind=kind, d=d)
         if self.kind not in MODEL_KINDS:
             raise InvalidModel(f"unknown cost model kind {self.kind!r}")
         if self.kind == "pd" and self.d < 1:
@@ -107,41 +105,30 @@ def exchange_cost(model: CostModel, kind: ExchangeKind, transpositions: int) -> 
     return transpositions * model.d if model.kind == "pd" else 0
 
 
-@dataclass(frozen=True)
-class CostBreakdown:
+class CostBreakdown(Value):
     """Per-component cost of one run; total is always the component sum."""
 
-    access: int = 0
-    matching: int = 0
-    replacement: int = 0
-    exchange: int = 0
+    def __init__(self, access: int = 0, matching: int = 0, replacement: int = 0,
+                 exchange: int = 0):
+        self.__dict__.update(access=access, matching=matching, replacement=replacement,
+                             exchange=exchange)
 
     @property
     def total(self) -> int:
         return self.access + self.matching + self.replacement + self.exchange
 
 
-class StepEvent(NamedTuple):
-    """One served request, as every engine reports it.
+StepEvent = namedtuple("StepEvent", "t element source position access_cost matched inserted "
+                       "evicted flags_added transpositions", defaults=((), (), (), (), 0))
+StepEvent.__doc__ = """One served request, as every engine reports it.
 
-    The fields up to flags_added are a trace line's fields in order.
-    source is "list" or "buffer" (amr only), and position is the list
-    position or the buffer slot. The classical algorithms leave the amr
-    bookkeeping empty and count in transpositions the adjacent
-    exchanges that moved the accessed element toward the front; amr
-    never moves the list.
-    """
-
-    t: int
-    element: str
-    source: str
-    position: int
-    access_cost: int
-    matched: tuple[tuple[int, str], ...] = ()
-    inserted: tuple[tuple[int, str], ...] = ()
-    evicted: tuple[tuple[int, str], ...] = ()
-    flags_added: tuple[int, ...] = ()
-    transpositions: int = 0
+The fields up to flags_added are a trace line's fields in order.
+source is "list" or "buffer" (amr only), and position is the list
+position or the buffer slot. The classical algorithms leave the amr
+bookkeeping empty and count in transpositions the adjacent
+exchanges that moved the accessed element toward the front; amr
+never moves the list.
+"""
 
 
 class Steps:

@@ -17,12 +17,11 @@ import math
 import sys
 from array import array
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Iterator
 from functools import partial
 from itertools import accumulate, chain, islice, repeat
-from typing import Iterator
 
-from .core import ListConfig, RequestSequence, Workload, check_buffer
+from .core import ListConfig, RequestSequence, Value, Workload, check_buffer
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -101,23 +100,18 @@ class InvalidSpec(ValueError):
 DISTRIBUTIONS = ("uniform", "zipf", "burst", "reverse")
 
 
-@dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(Value):
     """What to generate; a spec that names no workload raises InvalidSpec
-    when it is built, dataclasses.replace copies included.
+    when it is built, GeneratorSpec.replace copies included.
 
     length may be omitted for reverse (it is forced to list_size);
     a finite zipf_skew is required for zipf, run_length for burst.
     """
 
-    dist: str
-    list_size: int
-    length: int | None = None
-    seed: int = 0
-    zipf_skew: float | None = None
-    run_length: int | None = None
-
-    def __post_init__(self):
+    def __init__(self, dist: str, list_size: int, length: int | None = None, seed: int = 0,
+                 zipf_skew: float | None = None, run_length: int | None = None):
+        self.__dict__.update(dist=dist, list_size=list_size, length=length, seed=seed,
+                             zipf_skew=zipf_skew, run_length=run_length)
         if self.dist not in DISTRIBUTIONS:
             raise InvalidSpec(f"unknown distribution {self.dist!r}")
         if self.list_size < 1:

@@ -2,7 +2,6 @@ import itertools
 import tracemalloc
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -337,7 +336,7 @@ def test_engine_matches_plain_scan_reference(w):
 def test_count_path_matches_reference_breakdown_under_skew(w, capacity):
     # hot elements stay resident through many list accesses, and small
     # buffers evict elements that come back with a reach from before
-    w = replace(w, buffer_capacity=capacity)
+    w = w.replace(buffer_capacity=capacity)
     assert serve_amr(w)[0] == serve_amr_reference(w)[0]
 
 
@@ -468,7 +467,7 @@ def test_hot_resident_walks_its_whole_window():
 def test_bisection_flags_survive_a_churning_buffer(w, capacity):
     # long windows and few residents take the bisection rule; a small
     # buffer evicts and re-inserts elements, which must be flagged again
-    w = replace(w, buffer_capacity=capacity)
+    w = w.replace(buffer_capacity=capacity)
     assert listed(serve_amr(w)) == serve_amr_reference(w)
 
 
@@ -545,7 +544,7 @@ def test_runs_sharing_one_request_sequence_stay_independent():
     for dist in ("uniform", "burst:4"):
         generated = generate(spec_from_dist_token(dist, 40, 400, 2))
         l, requests = generated.list.l, generated.requests
-        shared = [listed(serve_amr(replace(generated, buffer_capacity=c))) for c in range(l + 3)]
+        shared = [listed(serve_amr(generated.replace(buffer_capacity=c))) for c in range(l + 3)]
         fresh = [
             listed(serve_amr(make_workload(generated.list.elements, requests.requests, c)))
             for c in range(l + 3)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,14 +10,16 @@ from listlab.core import (
     InvalidWorkload,
     ListConfig,
     ParseError,
+    RequestSequence,
+    Workload,
     make_workload,
     parse_workload,
     position,
     serialize_workload,
     validate_workload,
 )
-from listlab.costs import CENTRALIZED, FULL, PARTIAL, CostBreakdown, pd
-from listlab.workloads import generate, spec_from_dist_token
+from listlab.costs import CENTRALIZED, FULL, PARTIAL, CostBreakdown, CostModel, InvalidModel, pd
+from listlab.workloads import GeneratorSpec, InvalidSpec, generate, spec_from_dist_token
 from support import text_workloads, tokens, unique_token_lists, workloads
 
 NINE = tuple("A B C D E F G H I".split())
@@ -51,6 +51,62 @@ def test_cached_indices_leave_equality_and_hash_unchanged():
     assert (hash(w), hash(w.list), hash(w.requests), repr(w), serialize_workload(w)) == before
     assert (w, w.list, w.requests) == (twin, twin.list, twin.requests)
     assert hash(w) == hash(twin)
+
+
+def _served(w):
+    list(serve_amr(w)[1])  # the steps build every index the engine caches
+    return w
+
+
+# Each value type: a builder, a field change for replace(), and a call
+# that builds the indices cached on the value, if it has any.
+VALUE_TYPES = {
+    "ListConfig": (lambda: ListConfig(tuple("ABC")), {"elements": ("A", "C")},
+                   lambda v: _served(Workload(v, RequestSequence(tuple("CBACB")), 1))),
+    "RequestSequence": (lambda: RequestSequence(tuple("CBACB")), {"requests": ("A",)},
+                        lambda v: _served(Workload(ListConfig(tuple("ABC")), v, 1))),
+    "Workload": (lambda: make_workload("ABC", "CBACB", 1), {"buffer_capacity": 2}, _served),
+    "CostModel": (lambda: CostModel("pd", 2), {"d": 3}, None),
+    "CostBreakdown": (lambda: CostBreakdown(access=3, matching=1), {"exchange": 1}, None),
+    "GeneratorSpec": (lambda: GeneratorSpec("zipf", 4, 10, zipf_skew=1.2), {"seed": 1}, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_type_contract(name):
+    build, change, build_indices = VALUE_TYPES[name]
+    value, twin = build(), build()
+    assert type(value).__name__ == name and value is not twin
+    assert value == twin and hash(value) == hash(twin)
+    fields = {field: getattr(value, field) for field in type(value)._fields}
+    assert repr(value) == f"{name}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    # equal to nothing but its own type: not a tuple, not a subclass
+    same_fields = type("Other", (type(value),), {})(**fields)
+    assert value != tuple(fields.values()) and value != same_fields and same_fields != value
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)
+        with pytest.raises(AttributeError):
+            delattr(value, field)
+    assert value.replace() == value
+    changed = value.replace(**change)
+    assert changed != value and {**fields, **change} == {f: getattr(changed, f) for f in fields}
+    with pytest.raises(TypeError):
+        value.replace(no_such_field=1)
+    before = (hash(value), repr(value))
+    if build_indices:
+        build_indices(value)
+    assert (hash(value), repr(value)) == before and value == twin
+
+
+@pytest.mark.parametrize("value, change, error", [
+    (make_workload("AB", "BA", 1), {"buffer_capacity": -1}, InvalidWorkload),
+    (CostModel("pd", 2), {"kind": "paid"}, InvalidModel),
+    (GeneratorSpec("uniform", 3, 5), {"seed": 2**64}, InvalidSpec),
+], ids=["Workload", "CostModel", "GeneratorSpec"])
+def test_replace_runs_the_checks_again(value, change, error):
+    with pytest.raises(error):
+        value.replace(**change)
 
 
 @given(workloads(max_l=4, max_n=40))
@@ -127,9 +183,9 @@ def test_invalid_workload_is_rejected_on_every_call():
             parse_workload("list: A A\nbuffer: 1\nrequests: A\n")
     valid = make_workload("A B".split(), ["A"], 0)
     with pytest.raises(InvalidWorkload, match="^negative buffer capacity -1$"):
-        dataclasses.replace(valid, buffer_capacity=-1)
+        valid.replace(buffer_capacity=-1)
     with pytest.raises(InvalidWorkload, match="^request 1: A not in list$"):
-        dataclasses.replace(valid, list=ListConfig(("B",)))
+        valid.replace(list=ListConfig(("B",)))
 
 
 def test_compare_validates_its_workload_once(tmp_path, monkeypatch, capsys):

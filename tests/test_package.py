@@ -30,6 +30,28 @@ def test_import_listlab_loads_no_submodule_and_exports_nothing():
     assert json.loads(proc.stdout) == {"modules": ["listlab"], "public": []}
 
 
+# Standard modules the CLI does not need; each would add start-up time to every call.
+UNUSED = ("dataclasses", "inspect", "pathlib", "typing")
+COLD_START_PROBE = f"""
+import sys
+import listlab.cli
+steps = {{"import": set(sys.modules)}}
+code = listlab.cli.main(["gen", "--dist", "zipf:1.2", "--list-size", "8", "--length", "50"])
+steps["gen"] = set(sys.modules)
+print(code, {{step: sorted(loaded & set({UNUSED})) for step, loaded in steps.items()}})
+"""
+
+
+def test_cli_gen_loads_no_unused_stdlib_module():
+    # -S skips site, whose .pth files may import any of these on some hosts.
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run([sys.executable, "-S", "-c", COLD_START_PROBE], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("list: A B C D E F G H\n")
+    assert proc.stdout.splitlines()[-1] == "0 {'import': [], 'gen': []}"
+
+
 # A backticked dotted name that starts with a module of the package, with
 # or without a leading `listlab.`, or any name under `listlab.`; an
 # optional call suffix, and an optional ` (N)` value after the span.

@@ -3,21 +3,20 @@
 on a single generated workload, next to the static/full baseline.
 """
 
-import argparse
 import sys
 
-from listlab.cli import CliError, guard, run_pair
+from listlab.cli import CliError, Parser, guard, run_pair
 from listlab.workloads import generate, spec_from_dist_token
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+def main(argv=None) -> int:
+    ap = Parser(description=__doc__)
     ap.add_argument("--dist", default="zipf:1.2")
     ap.add_argument("--list-size", type=int, default=12)
     ap.add_argument("--length", type=int, default=300)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--max-buffer", type=int, default=8)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     spec = spec_from_dist_token(args.dist, args.list_size, args.length, args.seed)
     if args.max_buffer < 0:

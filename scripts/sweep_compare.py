@@ -7,18 +7,17 @@ format, ready for plotting. Classical algorithms run under the full
 model; the buffered engine uses its own accounting.
 """
 
-import argparse
 import sys
 
 from listlab.classic import CLASSIC_ALGORITHMS
-from listlab.cli import CliError, distinct_paths, guard, rows_to_csv, run_pair
+from listlab.cli import CliError, Parser, distinct_paths, guard, rows_to_csv, run_pair
 from listlab.cli import split_tokens, write_file
 from listlab.core import check_buffer
 from listlab.workloads import generate, spec_from_dist_token
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser(description=__doc__)
+def main(argv=None) -> int:
+    ap = Parser(description=__doc__)
     ap.add_argument("--dists", default="uniform,zipf:1.2,burst:4",
                     help="comma-separated distribution tokens")
     ap.add_argument("--list-size", type=int, default=10)
@@ -26,7 +25,7 @@ def main() -> int:
     ap.add_argument("--seeds", type=int, default=20, help="use seeds 0..N-1")
     ap.add_argument("--buffers", default="1,3,5", help="comma-separated capacities")
     ap.add_argument("-o", "--output", help="CSV path (default: stdout)")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     distinct_paths(output=args.output)
     try:  # before any seed is served; InvalidWorkload is a ValueError

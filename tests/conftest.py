@@ -2,6 +2,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from listlab.core import make_workload
+from pinned import check, in_process
 
 settings.register_profile(
     "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -24,3 +25,10 @@ def demonstration():
 @pytest.fixture
 def reverse_eleven():
     return make_workload(list("ABCDEFGHIJK"), list("KJIHGFEDCBA"), 3)
+
+
+@pytest.fixture
+def replay(tmp_path, monkeypatch):
+    """replay(name) replays that row of tests/pinned.py in process, in tmp_path."""
+    monkeypatch.chdir(tmp_path)
+    return lambda name: check(name, in_process, tmp_path)

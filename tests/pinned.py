@@ -1,32 +1,66 @@
-"""The pinned CLI bytes: one table of `listlab` calls and the bytes they write.
+"""The pinned CLI bytes: one table of calls and the bytes they write.
 
 A row is a chain of calls that share one directory, so that a `gen -o`
-file feeds the `run` and `compare` calls after it. Each call names the
-outputs it pins, "stdout", "stderr" or a file it writes, and the bytes
-expected, as a sha256 hex digest or as the name of a file under
-tests/golden/. Every call must exit 0, and a call that does not name its
-stderr must write nothing there.
+file feeds the `run` and `compare` calls after it. A call is a `listlab`
+argv, split as a shell would split it, or, when its first word ends in
+.py, a script under scripts/ and its argv. `{golden}` in an argv stands
+for the tests/golden/ directory. Each call names the outputs it pins,
+"stdout", "stderr" or a file it writes, and the bytes expected: a sha256
+hex digest, the name of a file under tests/golden/, or, when the value
+ends in a newline, the bytes themselves, with `{golden}` formatted as in
+the argv. A call that does not name its stderr must write nothing there.
 
-tests/test_golden.py replays every row in process through `cli.main`.
-Run as a script, this module replays them as `python -m listlab.cli`
-children and exits 1 if any row differs:
+A call exits 0 unless it names another "exit" code. A failing call must
+also write nothing to an unnamed stdout and must leave every file in the
+row's directory as it was, so a failure row is a call with its exit code
+and its error line; `fails(cmd, message)` builds one:
+
+    "run-missing-file": [fails("run --workload nope --algorithm amr",
+                               "cannot read nope: [Errno 2] No such file or directory: 'nope'")],
+
+Usage errors, whose text argparse words differently from one Python
+version to the next, are not rows.
+
+tests/test_golden.py replays every row in process, through `cli.main`
+or a script's `main` under `cli.guard`. Run as a script, this module
+replays them as `python -m listlab.cli` and `python scripts/...` children
+and exits 1 if any row differs:
 
     python tests/pinned.py
 """
 
 import hashlib
+import importlib.util
+import io
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
-from functools import partial
+from contextlib import redirect_stderr, redirect_stdout
+from functools import cache, partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
+SCRIPTS = ROOT / "scripts"
 DIGEST = re.compile(r"[0-9a-f]{64}")
 EVERY_PAIR = "--algorithm static,mtf,transpose,fc,amr --model full,partial,pd:2"
+DEMO = "{golden}/demonstration.workload"
+GEN = "gen --dist uniform --list-size 4 --length 8"
+MTF_AMR = ("algorithm,model,access,matching,replacement,exchange,total,n,l,buffer,seed\n"
+           "amr,amr,31,4,1,0,36,10,9,3,\nmtf,full,58,0,0,0,58,10,9,3,\n")
+NEGATIVE = "{golden}/negative-buffer.workload: invalid workload: negative buffer capacity -1"
+NO_DIR = "cannot write missing/out: [Errno 2] No such file or directory: 'missing/out'"
+NOT_UTF8 = ("cannot read {golden}/latin1.workload:"
+            " 'utf-8' codec can't decode byte 0xc4 in position 6: invalid continuation byte")
+
+
+def fails(cmd: str, message: str, code: int = 2, **outputs: str):
+    """A call that exits `code` with the one stderr line `error: message`."""
+    return cmd, {"exit": code, "stderr": f"error: {message}\n", **outputs}
+
 
 ROWS = {
     # totals 34 and 36: the two look-ahead worked traces
@@ -147,14 +181,161 @@ ROWS = {
          " --seed 18446744073709551615 -o w.workload",
          {"w.workload": "ac3c28066249a8d125af33eb13ec303860ccb90c710a57cd5068a6e726ee4d24"}),
     ],
+    # compare's stdout is the CSV table it writes, with the same bytes
+    "compare-mtf-amr": [
+        (f"compare --workload {DEMO} --algorithm mtf,amr --model full --csv cmp.csv",
+         {"stdout": MTF_AMR, "cmp.csv": MTF_AMR}),
+    ],
+    # amr runs once, whatever the model list
+    "compare-amr-two-models": [(f"compare --workload {DEMO} --algorithm amr --model full,partial",
+                                {"stdout": "run-amr-demonstration.csv"})],
+    "compare-reverse-eleven": [
+        ("gen --dist reverse --list-size 11 -o rev.workload",
+         {"stdout": "dist=reverse list-size=11 length=11 seed=0 buffer=3\nwrote rev.workload\n",
+          "rev.workload": "reverse-eleven.workload"}),
+        ("compare --workload rev.workload --algorithm mtf --model full",
+         {"stdout": "algorithm,model,access,matching,replacement,exchange,total,n,l,buffer,seed\n"
+                    "mtf,full,121,0,0,0,121,11,11,3,\n"}),
+    ],
+    "gen-buffer-9": [("gen --dist reverse --list-size 3 --buffer 9 -o b.workload",
+                      {"b.workload": "list: A B C\nbuffer: 9\nrequests: C B A\n"})],
+    # without -o, gen writes the workload to stdout and its echo to stderr
+    "gen-stdout": [("gen --dist reverse --list-size 3",
+                    {"stdout": "list: A B C\nbuffer: 3\nrequests: C B A\n",
+                     "stderr": "dist=reverse list-size=3 length=3 seed=0 buffer=3\n"})],
+    # a sequence shorter than its list is legal, with a warning
+    "run-short-sequence": [
+        ("gen --dist uniform --list-size 3 --length 2 --buffer 1 -o s.workload", {}),
+        ("run --workload s.workload --algorithm static",
+         {"stdout": "algorithm=static model=full n=2 l=3 buffer=1\n"
+                    "access=3 matching=0 replacement=0 exchange=0 total=3\n",
+          "stderr": "warning: request sequence shorter than list (n=2 < l=3)\n"}),
+    ],
+    # unsupported pairs exit 3
+    "run-mtf-centralized": [fails(f"run --workload {DEMO} --algorithm mtf --model centralized",
+                                  "only the static algorithm is defined under the centralized"
+                                  " model", 3)],
+    "run-amr-with-model": [fails(f"run --workload {DEMO} --algorithm amr --model full",
+                                 "the amr engine carries its own cost model; drop --model", 3)],
+    # input errors exit 2: a workload file that cannot be read or breaks a rule
+    "run-missing-file": [fails("run --workload nope --algorithm amr",
+                               "cannot read nope: [Errno 2] No such file or directory: 'nope'")],
+    "run-missing-buffer-line": [
+        fails("run --workload {golden}/missing-buffer.workload --algorithm amr",
+              "{golden}/missing-buffer.workload: line 0: missing 'buffer:' line")],
+    "run-duplicate-element": [
+        fails("run --workload {golden}/duplicate.workload --algorithm mtf",
+              "{golden}/duplicate.workload: invalid workload:"
+              " duplicate element A (list positions 1 and 2)")],
+    # the buffer line parses as an integer; the workload rules reject it
+    "run-negative-buffer": [
+        fails("run --workload {golden}/negative-buffer.workload --algorithm amr", NEGATIVE)],
+    "compare-negative-buffer": [
+        fails("compare --workload {golden}/negative-buffer.workload --algorithm amr", NEGATIVE)],
+    "run-not-utf8": [fails("run --workload {golden}/latin1.workload --algorithm amr", NOT_UTF8)],
+    "compare-not-utf8": [
+        fails("compare --workload {golden}/latin1.workload --algorithm mtf", NOT_UTF8)],
+    # bad tokens, rejected before the workload is read
+    "compare-empty-algorithm": [fails(f"compare --workload {DEMO} --algorithm ''",
+                                      "--algorithm '' names no token")],
+    "compare-empty-model": [fails(f"compare --workload {DEMO} --algorithm static --model ''",
+                                  "--model '' names no token")],
+    "compare-comma-algorithm": [fails(f"compare --workload {DEMO} --algorithm ,",
+                                      "--algorithm ',' names no token")],
+    "compare-comma-model": [fails(f"compare --workload {DEMO} --algorithm static --model ,",
+                                  "--model ',' names no token")],
+    "compare-unknown-algorithm": [fails(f"compare --workload {DEMO} --algorithm opt",
+                                        "unknown algorithm token 'opt'")],
+    "compare-unknown-model": [fails(f"compare --workload {DEMO} --algorithm mtf --model bogus",
+                                    "unknown cost model kind 'bogus'")],
+    "run-amr-bad-model": [fails(f"run --workload {DEMO} --algorithm amr --model bogus",
+                                "unknown cost model kind 'bogus'")],
+    "compare-amr-bad-model": [fails(f"compare --workload {DEMO} --algorithm amr --model bogus",
+                                    "unknown cost model kind 'bogus'")],
+    # gen's spec and buffer rules, checked before any request is drawn
+    "gen-zipf-zero-skew": [fails("gen --dist zipf:0 --list-size 5 --length 10",
+                                 "zipf needs a finite skew > 0, got 0.0")],
+    "gen-zipf-infinite-skew": [fails("gen --dist zipf:inf --list-size 5 --length 10",
+                                     "zipf needs a finite skew > 0, got inf")],
+    "gen-negative-buffer": [fails(f"{GEN} --buffer -2 -o w.workload",
+                                  "negative buffer capacity -2")],
+    "gen-negative-seed": [fails(f"{GEN} --seed -1 -o w.workload",
+                                "seed must be in 0..18446744073709551615, got -1")],
+    "gen-seed-2**64": [fails(f"{GEN} --seed 18446744073709551616 -o w.workload",
+                             "seed must be in 0..18446744073709551615, got 18446744073709551616")],
+    # an output path that cannot be written; run and compare print their
+    # stdout before the file fails
+    "run-trace-no-dir": [fails(f"run --workload {DEMO} --algorithm amr --trace missing/out",
+                               NO_DIR, stdout="run-amr-demonstration.stdout")],
+    "run-csv-no-dir": [fails(f"run --workload {DEMO} --algorithm amr --csv missing/out",
+                             NO_DIR, stdout="run-amr-demonstration.stdout")],
+    "compare-csv-no-dir": [fails(f"compare --workload {DEMO} --algorithm amr --csv missing/out",
+                                 NO_DIR, stdout="run-amr-demonstration.csv")],
+    "gen-o-no-dir": [fails("gen --dist reverse --list-size 3 -o missing/out", NO_DIR)],
+    # an output that names the workload or the other output, refused before any write
+    "run-trace-is-workload": [
+        ("gen --dist reverse --list-size 3 -o w.workload", {}),
+        fails("run --workload w.workload --algorithm amr --trace w.workload",
+              "--trace w.workload names the same file as --workload"),
+    ],
+    "run-csv-is-workload": [
+        ("gen --dist reverse --list-size 3 -o w.workload", {}),
+        fails("run --workload w.workload --algorithm amr --csv ./w.workload",
+              "--csv ./w.workload names the same file as --workload"),
+    ],
+    "compare-csv-is-workload": [
+        ("gen --dist reverse --list-size 3 -o w.workload", {}),
+        fails("compare --workload w.workload --algorithm mtf --csv w.workload",
+              "--csv w.workload names the same file as --workload"),
+    ],
+    "run-trace-is-csv": [fails(f"run --workload {DEMO} --algorithm amr --trace t --csv t",
+                               "--csv t names the same file as --trace")],
+    # an empty path, refused before the workload is read
+    "run-empty-trace": [fails(f"run --workload {DEMO} --algorithm amr --trace ''",
+                              "--trace names no file")],
+    "run-empty-csv": [fails(f"run --workload {DEMO} --algorithm amr --csv ''",
+                            "--csv names no file")],
+    "compare-empty-csv": [fails(f"compare --workload {DEMO} --algorithm mtf --csv ''",
+                                "--csv names no file")],
+    "run-empty-workload": [fails("run --workload '' --algorithm amr", "--workload names no file")],
+    "gen-empty-o": [fails("gen --dist reverse --list-size 3 -o ''", "--output names no file")],
+    # the scripts
+    "sweep-compare": [("sweep_compare.py --seeds 2 --buffers 1,3",
+                       {"stdout": "sweep-compare.stdout"})],
+    "buffer-sensitivity": [("buffer_sensitivity.py", {"stdout": "buffer-sensitivity.stdout"})],
+    "sweep-bad-buffer": [fails("sweep_compare.py --buffers a",
+                               "invalid literal for int() with base 10: 'a'")],
+    # the Workload rule's message, as `listlab gen --buffer -1` prints it
+    "sweep-negative-buffer": [fails("sweep_compare.py --buffers -1",
+                                    "negative buffer capacity -1")],
+    "sweep-list-size": [fails("sweep_compare.py --list-size 0", "list size must be >= 1, got 0")],
+    "sweep-list-size-no-seeds": [fails("sweep_compare.py --list-size 0 --seeds 0",
+                                       "list size must be >= 1, got 0")],
+    "sweep-no-seeds": [fails("sweep_compare.py --seeds 0", "--seeds must be >= 1, got 0")],
+    "sweep-no-dists": [fails("sweep_compare.py --dists ''", "--dists '' names no token")],
+    "sweep-no-buffers": [fails("sweep_compare.py --buffers ''", "--buffers '' names no token")],
+    "sweep-o-no-dir": [fails("sweep_compare.py --seeds 1 -o missing/out", NO_DIR)],
+    "sweep-empty-o": [fails("sweep_compare.py --seeds 1 -o ''", "--output names no file")],
+    "sensitivity-dist": [fails("buffer_sensitivity.py --dist bogus",
+                               "unknown distribution 'bogus'")],
+    "sensitivity-negative-max-buffer": [fails("buffer_sensitivity.py --max-buffer -1",
+                                              "--max-buffer must be >= 0, got -1")],
 }
 
 
 def matches(data: bytes, expected: str) -> bool:
-    """Whether data is the expected bytes: a sha256 hex digest or a golden file."""
+    """Whether data is the expected bytes: literal text ending in a newline,
+    a sha256 hex digest or a golden file."""
+    if expected.endswith("\n"):
+        return data == expected.format(golden=GOLDEN).encode()
     if DIGEST.fullmatch(expected):
         return hashlib.sha256(data).hexdigest() == expected
     return data == (GOLDEN / expected).read_bytes()
+
+
+def files(directory: Path) -> dict:
+    """Every path under directory, with a file's bytes."""
+    return {p: p.read_bytes() if p.is_file() else None for p in directory.rglob("*")}
 
 
 def check(name: str, run, directory: Path) -> None:
@@ -162,21 +343,61 @@ def check(name: str, run, directory: Path) -> None:
     calls' files written to `directory`; raise AssertionError at the first
     call that fails or output that differs."""
     for cmd, expected in ROWS[name]:
-        code, out, err = run([tok.format(golden=GOLDEN) for tok in cmd.split()])
-        if code != 0:
-            raise AssertionError(f"{name}: `listlab {cmd}` exited {code}: {err!r}")
-        if err and "stderr" not in expected:
-            raise AssertionError(f"{name}: `listlab {cmd}` wrote to stderr: {err!r}")
+        def fail(what):
+            raise AssertionError(f"{name}: `{cmd}` {what}")
+
+        code = expected.get("exit", 0)
+        before = files(directory) if code else None
+        got, out, err = run([tok.format(golden=GOLDEN) for tok in shlex.split(cmd)])
+        # a stray write is the worst fault a failure row can show, so it is named first
+        if code and files(directory) != before:
+            fail(f"exited {got} and created or changed a file in its directory")
+        if got != code:
+            fail(f"exited {got}, not {code}: {err!r}")
         streams = {"stdout": out, "stderr": err}
+        quiet = ("stdout", "stderr") if code else ("stderr",)  # empty unless pinned
+        for stream in quiet:
+            if streams[stream] and stream not in expected:
+                fail(f"wrote to {stream}: {streams[stream]!r}")
         for output, want in expected.items():
+            if output == "exit":
+                continue
             data = streams[output] if output in streams else (directory / output).read_bytes()
             if not matches(data, want):
-                raise AssertionError(f"{name}: `listlab {cmd}` {output} is not {want}")
+                fail(f"{output} is not {want!r}: {data[:200]!r}")
+
+
+@cache
+def script(name: str):
+    """The module of scripts/<name>, loaded once."""
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), SCRIPTS / name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def in_process(argv: list[str]):
+    """One call in this process: a script's main under cli.guard, or cli.main.
+    An argparse exit returns its code."""
+    from listlab.cli import guard, main
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            if argv[0].endswith(".py"):
+                code = guard(script(argv[0]).main, argv[1:])
+            else:
+                code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue().encode(), err.getvalue().encode()
 
 
 def child(directory: str, argv: list[str]):
-    """One `python -m listlab.cli` child in `directory`, run from this checkout's src."""
-    proc = subprocess.run([sys.executable, "-m", "listlab.cli", *argv], cwd=directory,
+    """One child in `directory`, run from this checkout's src: a script, or
+    `python -m listlab.cli`."""
+    program = [str(SCRIPTS / argv.pop(0))] if argv[0].endswith(".py") else ["-m", "listlab.cli"]
+    proc = subprocess.run([sys.executable, *program, *argv], cwd=directory,
                           env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
                           capture_output=True, timeout=300)
     return proc.returncode, proc.stdout, proc.stderr

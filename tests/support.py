@@ -1,9 +1,11 @@
-"""Shared hypothesis strategies, small workload builders and a CSV reader."""
+"""Shared hypothesis strategies, small workload builders, a CSV reader and
+tests that replay pinned rows."""
 
 import csv
 import io
 import string
 
+import pytest
 from hypothesis import strategies as st
 
 from listlab.cli import CSV_HEADER, ComparisonRow
@@ -87,3 +89,14 @@ def rows_from_csv(text: str) -> list[ComparisonRow]:
             )
         )
     return rows
+
+
+def replays(rows):
+    """A test that replays rows of tests/pinned.py, which pin its exit codes
+    and exact bytes: one row, or one case per test id in a dict of id → row."""
+    if isinstance(rows, str):
+        return lambda replay: replay(rows)
+
+    def test(replay, row):
+        replay(row)
+    return pytest.mark.parametrize("row", list(rows.values()), ids=list(rows))(test)

@@ -199,6 +199,16 @@ def test_demonstration_run(demonstration):
     assert breakdown.total == 36
 
 
+def test_reach_keeps_the_longest_window_after_eviction():
+    # An evicted element's reach is the largest window end of its
+    # residencies; taking the last one instead costs one more access and
+    # one more match here.
+    w = make_workload(list_elements(30), "Z E28 B E B A A B A A B A A A B B A B A B B B B A W"
+                      .split(), 1)
+    b, _ = serve_amr(w)
+    assert (b.access, b.matching, b.replacement, b.total) == (108, 8, 4, 120)
+    assert b == serve_amr_reference(w)[0]
+
 def test_empty_request_sequence():
     breakdown, trace = listed(serve_amr(make_workload("A B".split(), (), 4)))
     assert breakdown.total == 0 and trace == []

@@ -3,12 +3,13 @@ import io
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from listlab.cli import (
     ALGORITHM_TOKENS,
@@ -22,10 +23,10 @@ from listlab.cli import (
 from listlab.core import parse_workload, serialize_workload
 from listlab.costs import parse_model_token
 from oracles import static_full_total
-from support import rows_from_csv, workloads
+from pinned import in_process
+from support import replays, rows_from_csv, workloads
 
 DEMO = "list: A B C D E F G H I\nbuffer: 3\nrequests: I E G D I E D B A I\n"
-ILLU = "list: A B C D E F G H I\nbuffer: 3\nrequests: I E G D I E D A B I\n"
 
 
 @pytest.fixture
@@ -35,23 +36,7 @@ def demo_path(tmp_path):
     return str(path)
 
 
-@pytest.fixture
-def illu_path(tmp_path):
-    path = tmp_path / "illu.workload"
-    path.write_text(ILLU, encoding="utf-8")
-    return str(path)
-
-
 # --- run ---------------------------------------------------------------------
-
-
-def test_run_amr_demo(demo_path, capsys):
-    assert main(["run", "--workload", demo_path, "--algorithm", "amr"]) == 0
-    out = capsys.readouterr().out
-    assert out == (
-        "algorithm=amr model=amr n=10 l=9 buffer=3\n"
-        "access=31 matching=4 replacement=1 exchange=0 total=36\n"
-    )
 
 
 def test_run_static_full_demo(demo_path, capsys):
@@ -61,45 +46,6 @@ def test_run_static_full_demo(demo_path, capsys):
     r = "I E G D I E D B A I".split()
     assert static_full_total(e, r) == 55
     assert "total=55" in out
-
-
-def test_run_mtf_centralized_is_unsupported(demo_path, capsys):
-    assert main(["run", "--workload", demo_path, "--algorithm", "mtf", "--model", "centralized"]) == 3
-    assert "error:" in capsys.readouterr().err
-
-
-def test_run_amr_rejects_model_flag(demo_path, capsys):
-    assert main(["run", "--workload", demo_path, "--algorithm", "amr", "--model", "full"]) == 3
-    assert "carries its own cost model" in capsys.readouterr().err
-
-
-def test_run_missing_file(tmp_path, capsys):
-    assert main(["run", "--workload", str(tmp_path / "nope"), "--algorithm", "amr"]) == 2
-
-
-def test_run_malformed_file(tmp_path, capsys):
-    path = tmp_path / "bad.workload"
-    path.write_text("list: A B\nrequests: A\n", encoding="utf-8")
-    assert main(["run", "--workload", str(path), "--algorithm", "amr"]) == 2
-    assert capsys.readouterr().err == f"error: {path}: line 0: missing 'buffer:' line\n"
-
-
-def test_run_invalid_workload(tmp_path, capsys):
-    path = tmp_path / "dup.workload"
-    path.write_text("list: A A\nbuffer: 1\nrequests: A\n", encoding="utf-8")
-    assert main(["run", "--workload", str(path), "--algorithm", "mtf"]) == 2
-    assert "duplicate element" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_negative_buffer_file_is_an_invalid_workload(command, tmp_path, capsys):
-    # the buffer line parses as an integer; the workload rules reject it
-    path = tmp_path / "neg.workload"
-    path.write_text("list: A B\nbuffer: -1\nrequests: A\n", encoding="utf-8")
-    assert main([command, "--workload", str(path), "--algorithm", "amr"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {path}: invalid workload: negative buffer capacity -1\n"
 
 
 def draws_nothing(*args):
@@ -115,38 +61,6 @@ def test_gen_names_a_negative_buffer(tmp_path, monkeypatch, capsys):
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: negative buffer capacity -1\n"
     assert not out_path.exists()
-
-
-def test_run_short_sequence_warns_on_stderr(tmp_path, capsys):
-    path = tmp_path / "short.workload"
-    path.write_text("list: A B C\nbuffer: 1\nrequests: B A\n", encoding="utf-8")
-    assert main(["run", "--workload", str(path), "--algorithm", "static"]) == 0
-    assert "warning:" in capsys.readouterr().err
-
-
-def test_run_writes_trace(illu_path, tmp_path, capsys):
-    trace_path = tmp_path / "out.trace"
-    assert main(["run", "--workload", illu_path, "--algorithm", "amr", "--trace", str(trace_path)]) == 0
-    lines = trace_path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 10
-    assert lines[0] == (
-        "t=1 element=I source=list position=9 cost=9 "
-        "matched=5:E;9:I inserted=1:E;2:I evicted= flags_added=2;5;6;10"
-    )
-    assert lines[1] == (
-        "t=2 element=E source=buffer position=1 cost=1 "
-        "matched= inserted= evicted= flags_added="
-    )
-
-
-def test_run_classic_trace_has_same_fields(demo_path, tmp_path):
-    trace_path = tmp_path / "mtf.trace"
-    main(["run", "--workload", demo_path, "--algorithm", "mtf", "--trace", str(trace_path)])
-    first = trace_path.read_text(encoding="utf-8").splitlines()[0]
-    assert first == (
-        "t=1 element=I source=list position=9 cost=9 "
-        "matched= inserted= evicted= flags_added="
-    )
 
 
 @pytest.mark.parametrize("algorithm, dist, list_size, mib", [
@@ -208,100 +122,7 @@ def test_every_engine_steps_through_one_record(w):
         assert cost == row.access
 
 
-def test_run_writes_single_row_csv(demo_path, tmp_path):
-    csv_path = tmp_path / "run.csv"
-    main(["run", "--workload", demo_path, "--algorithm", "amr", "--csv", str(csv_path)])
-    rows = rows_from_csv(csv_path.read_text(encoding="utf-8"))
-    assert len(rows) == 1
-    row = rows[0]
-    assert (row.algorithm, row.model, row.total, row.seed) == ("amr", "amr", 36, None)
-    assert (row.n, row.l, row.buffer) == (10, 9, 3)
-
-
 # --- compare -----------------------------------------------------------------
-
-
-def test_compare_mtf_and_amr(demo_path, tmp_path, capsys):
-    csv_path = tmp_path / "cmp.csv"
-    code = main(
-        [
-            "compare",
-            "--workload",
-            demo_path,
-            "--algorithm",
-            "mtf,amr",
-            "--model",
-            "full",
-            "--csv",
-            str(csv_path),
-        ]
-    )
-    assert code == 0
-    out = capsys.readouterr().out
-    assert out == csv_path.read_text(encoding="utf-8")
-    rows = rows_from_csv(out)
-    assert [(r.algorithm, r.model, r.total) for r in rows] == [
-        ("amr", "amr", 36),
-        ("mtf", "full", 58),
-    ]
-
-
-def test_compare_skips_unsupported_pairs(demo_path, capsys):
-    code = main(
-        [
-            "compare",
-            "--workload",
-            demo_path,
-            "--algorithm",
-            "static,mtf",
-            "--model",
-            "full,centralized",
-        ]
-    )
-    assert code == 0
-    captured = capsys.readouterr()
-    rows = rows_from_csv(captured.out)
-    assert [(r.algorithm, r.model) for r in rows] == [
-        ("mtf", "full"),
-        ("static", "centralized"),
-        ("static", "full"),
-    ]
-    assert "skip mtf under centralized" in captured.err
-
-
-@pytest.mark.parametrize("flag", ["--algorithm", "--model"])
-def test_compare_rejects_an_empty_token_list(flag, demo_path, capsys):
-    argv = ["compare", "--workload", demo_path, "--algorithm", "static", flag, ""]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {flag} '' names no token\n"
-
-
-@pytest.mark.parametrize("flag", ["--algorithm", "--model"])
-def test_compare_rejects_a_token_list_that_names_nothing(flag, demo_path, capsys):
-    argv = ["compare", "--workload", demo_path, "--algorithm", "static", flag, ","]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-
-
-def test_compare_unknown_algorithm(demo_path, capsys):
-    assert main(["compare", "--workload", demo_path, "--algorithm", "opt"]) == 2
-
-
-def test_compare_unknown_model(demo_path, capsys):
-    assert main(["compare", "--workload", demo_path, "--algorithm", "mtf", "--model", "bogus"]) == 2
-
-
-@pytest.mark.parametrize("command", ["run", "compare"])
-def test_bad_model_token_is_rejected_before_any_run(command, demo_path, capsys):
-    argv = [command, "--workload", demo_path, "--algorithm", "amr", "--model", "bogus"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: unknown cost model kind 'bogus'\n"
 
 
 def test_compare_prices_every_model_like_a_single_run(tmp_path, capsys):
@@ -322,32 +143,7 @@ def test_compare_prices_every_model_like_a_single_run(tmp_path, capsys):
         assert row == run_pair(row.algorithm, model, w)[0]
 
 
-def test_compare_amr_ignores_model_list(demo_path, capsys):
-    main(["compare", "--workload", demo_path, "--algorithm", "amr", "--model", "full,partial"])
-    rows = rows_from_csv(capsys.readouterr().out)
-    assert [(r.algorithm, r.model) for r in rows] == [("amr", "amr")]
-
-
-def test_compare_reverse_eleven_reproduces_mtf_121(tmp_path, capsys):
-    wl = tmp_path / "rev.workload"
-    assert main(["gen", "--dist", "reverse", "--list-size", "11", "-o", str(wl)]) == 0
-    capsys.readouterr()
-    main(["compare", "--workload", str(wl), "--algorithm", "mtf", "--model", "full"])
-    rows = rows_from_csv(capsys.readouterr().out)
-    assert rows[0].total == 121
-
-
 # --- gen ---------------------------------------------------------------------
-
-
-def test_gen_reverse_eleven(tmp_path, capsys):
-    out_path = tmp_path / "rev.workload"
-    assert main(["gen", "--dist", "reverse", "--list-size", "11", "-o", str(out_path)]) == 0
-    text = out_path.read_text(encoding="utf-8")
-    assert "requests: K J I H G F E D C B A\n" in text
-    assert "buffer: 3\n" in text
-    stdout = capsys.readouterr().out
-    assert "seed=0" in stdout
 
 
 def test_gen_is_deterministic(tmp_path):
@@ -359,66 +155,15 @@ def test_gen_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_gen_zipf_zero_skew_is_a_usage_error(tmp_path, capsys):
-    code = main(["gen", "--dist", "zipf:0", "--list-size", "5", "--length", "10"])
-    assert code == 2
-    assert "skew" in capsys.readouterr().err
-
-
-def test_gen_zipf_infinite_skew_is_a_usage_error(capsys):
-    code = main(["gen", "--dist", "zipf:inf", "--list-size", "5", "--length", "10"])
-    assert code == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and "skew" in captured.err
-    assert len(captured.err.splitlines()) == 1
-
-
-def test_gen_writes_to_stdout_without_output_flag(capsys):
-    assert main(["gen", "--dist", "reverse", "--list-size", "3"]) == 0
-    captured = capsys.readouterr()
-    assert captured.out == "list: A B C\nbuffer: 3\nrequests: C B A\n"
-    assert "dist=reverse" in captured.err
-
-
-def test_gen_buffer_flag(tmp_path):
-    out_path = tmp_path / "buf.workload"
-    main(["gen", "--dist", "reverse", "--list-size", "3", "--buffer", "9", "-o", str(out_path)])
-    assert "buffer: 9\n" in out_path.read_text(encoding="utf-8")
-
-
-@pytest.mark.parametrize(
-    "extra", [["--buffer", "-2"], ["--seed", "-1"], ["--seed", str(2**64)]]
-)
-def test_gen_rejects_out_of_range_values(extra, tmp_path, capsys):
-    out_path = tmp_path / "w.workload"
-    argv = ["gen", "--dist", "uniform", "--list-size", "4", "--length", "8", "-o", str(out_path)]
-    assert main(argv + extra) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not out_path.exists()
-
-
 def test_gen_output_parses_back(tmp_path, capsys):
     out_path = tmp_path / "z.workload"
     main(["gen", "--dist", "zipf:1.2", "--list-size", "8", "--length", "50", "--seed", "5", "-o", str(out_path)])
-    from listlab.core import parse_workload
-
     w = parse_workload(out_path.read_text(encoding="utf-8"))
     assert w.requests.n == 50
     assert out_path.read_text(encoding="utf-8") == serialize_workload(w)
 
 
 # --- paper-examples ----------------------------------------------------------
-
-
-def test_reference_checks_pass(capsys):
-    assert main(["paper-examples"]) == 0
-    out = capsys.readouterr().out
-    assert "3/3 pass" in out
-    assert "lookahead-illustration [amr]: PASS" in out
-    assert "access expected=31 actual=31" in out
-    assert "matching expected=3 actual=3" in out
-    assert "reverse-order-mtf [mtf]: PASS" in out
 
 
 def corrupt_total(example):
@@ -445,69 +190,104 @@ def test_corrupted_builtin_checks_exit_nonzero(monkeypatch, capsys):
     assert out.endswith("2/3 pass\n")
 
 
-# --- unreadable input, unwritable output ------------------------------------
+# --- failures and outputs pinned in tests/pinned.py --------------------------
+
+# Each test replays the rows that pin its exit codes and exact bytes.
+test_run_amr_demo = replays("run-amr-demonstration")
+test_run_writes_trace = replays("run-amr-illustration")
+test_run_classic_trace_has_same_fields = replays("run-mtf-full-reverse-eleven")
+test_run_writes_single_row_csv = replays("run-amr-demonstration")
+test_compare_mtf_and_amr = replays("compare-mtf-amr")
+test_compare_amr_ignores_model_list = replays("compare-amr-two-models")
+test_compare_reverse_eleven_reproduces_mtf_121 = replays("compare-reverse-eleven")
+test_gen_reverse_eleven = replays("compare-reverse-eleven")
+test_gen_buffer_flag = replays("gen-buffer-9")
+test_reference_checks_pass = replays("paper-examples")
+test_run_mtf_centralized_is_unsupported = replays("run-mtf-centralized")
+test_run_amr_rejects_model_flag = replays("run-amr-with-model")
+test_run_missing_file = replays("run-missing-file")
+test_run_malformed_file = replays("run-missing-buffer-line")
+test_run_invalid_workload = replays("run-duplicate-element")
+test_negative_buffer_file_is_an_invalid_workload = replays(
+    {"run": "run-negative-buffer", "compare": "compare-negative-buffer"})
+test_run_short_sequence_warns_on_stderr = replays("run-short-sequence")
+test_compare_skips_unsupported_pairs = replays("compare-demonstration")
+test_compare_rejects_an_empty_token_list = replays(
+    {"--algorithm": "compare-empty-algorithm", "--model": "compare-empty-model"})
+test_compare_rejects_a_token_list_that_names_nothing = replays(
+    {"--algorithm": "compare-comma-algorithm", "--model": "compare-comma-model"})
+test_compare_unknown_algorithm = replays("compare-unknown-algorithm")
+test_compare_unknown_model = replays("compare-unknown-model")
+test_bad_model_token_is_rejected_before_any_run = replays(
+    {"run": "run-amr-bad-model", "compare": "compare-amr-bad-model"})
+test_gen_zipf_zero_skew_is_a_usage_error = replays("gen-zipf-zero-skew")
+test_gen_zipf_infinite_skew_is_a_usage_error = replays("gen-zipf-infinite-skew")
+test_gen_writes_to_stdout_without_output_flag = replays("gen-stdout")
+test_gen_rejects_out_of_range_values = replays(
+    {"extra0": "gen-negative-buffer", "extra1": "gen-negative-seed", "extra2": "gen-seed-2**64"})
+test_io_failure_is_one_error_line_and_exit_two = replays(
+    {"run-not-utf8": "run-not-utf8", "compare-not-utf8": "compare-not-utf8",
+     "run-trace": "run-trace-no-dir", "run-csv": "run-csv-no-dir",
+     "compare-csv": "compare-csv-no-dir", "gen-o": "gen-o-no-dir"})
+test_colliding_paths_exit_two_before_any_write = replays(
+    {name: name for name in ("run-trace-is-workload", "run-csv-is-workload",
+                             "compare-csv-is-workload", "run-trace-is-csv")})
+test_empty_path_exits_two_before_any_write = replays(
+    {"run-trace": "run-empty-trace", "run-csv": "run-empty-csv", "compare-csv": "compare-empty-csv",
+     "run-workload": "run-empty-workload", "gen-o": "gen-empty-o"})
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["run", "--workload", "{latin1}", "--algorithm", "amr"],
-        ["compare", "--workload", "{latin1}", "--algorithm", "mtf"],
-        ["run", "--workload", "{demo}", "--algorithm", "amr", "--trace", "{nodir}"],
-        ["run", "--workload", "{demo}", "--algorithm", "amr", "--csv", "{nodir}"],
-        ["compare", "--workload", "{demo}", "--algorithm", "amr", "--csv", "{nodir}"],
-        ["gen", "--dist", "reverse", "--list-size", "3", "-o", "{nodir}"],
-    ],
-    ids=["run-not-utf8", "compare-not-utf8", "run-trace", "run-csv", "compare-csv", "gen-o"],
-)
-def test_io_failure_is_one_error_line_and_exit_two(argv, demo_path, tmp_path, capsys):
-    latin1 = tmp_path / "latin1.workload"
-    latin1.write_bytes("list: \xc4 B\nbuffer: 1\nrequests: B\n".encode("latin-1"))
-    paths = {"demo": demo_path, "latin1": latin1, "nodir": tmp_path / "missing" / "out"}
-    assert main([arg.format(**paths) for arg in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+# --- any argv: exit 0, 2 or 3, and one error: line ----------------------------
+
+# Values for each flag, valid and broken; {d} is the call's directory, and an
+# output named {d}/w.workload collides with the workload. A required flag is
+# always given; argparse rejects "opt" and "x" with its usage.
+OUTPUTS = [None, "{d}/out", "{d}/w.workload", "", "{d}/missing/out"]
+WORKLOADS = ["{d}/w.workload", "{d}/missing/w", ""]
+MODELS = [None, "full", "partial,pd:2", "centralized", "", ",", "pd:0", "bogus"]
+GRAMMAR = {
+    "run": {"--workload": WORKLOADS, "--algorithm": [*ALGORITHM_TOKENS, "opt"],
+            "--model": MODELS, "--trace": OUTPUTS, "--csv": OUTPUTS},
+    "compare": {"--workload": WORKLOADS,
+                "--algorithm": ["static,mtf", "transpose,fc,amr", "amr", "", ",", "opt"],
+                "--model": MODELS, "--csv": OUTPUTS},
+    "gen": {"--dist": ["uniform", "zipf:1.2", "zipf:inf", "zipf:0", "burst:4", "burst:0",
+                       "reverse", "bogus", ""],
+            "--list-size": ["5", "0", "-1", "x"], "--length": [None, "8", "0", "-1"],
+            "--seed": [None, "7", "-1", str(2**64)], "--buffer": [None, "2", "-1"],
+            "-o": OUTPUTS},
+    "paper-examples": {},
+}
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["run", "--workload", "demo.workload", "--algorithm", "amr", "--trace", "demo.workload"],
-        ["run", "--workload", "demo.workload", "--algorithm", "amr", "--csv", "./demo.workload"],
-        ["compare", "--workload", "demo.workload", "--algorithm", "mtf", "--csv", "demo.workload"],
-        ["run", "--workload", "demo.workload", "--algorithm", "amr", "--trace", "t", "--csv", "t"],
-    ],
-    ids=["run-trace-is-workload", "run-csv-is-workload", "compare-csv-is-workload",
-         "run-trace-is-csv"],
-)
-def test_colliding_paths_exit_two_before_any_write(argv, demo_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert (tmp_path / "demo.workload").read_bytes() == DEMO.encode()
-    assert not (tmp_path / "t").exists()
+@st.composite
+def calls(draw):
+    """An argv from GRAMMAR; None leaves a flag out."""
+    command = draw(st.sampled_from(sorted(GRAMMAR)))
+    argv = [command]
+    for flag, values in GRAMMAR[command].items():
+        value = draw(st.sampled_from(values))
+        if value is not None:
+            argv += [flag, value]
+    return argv
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["run", "--workload", "demo.workload", "--algorithm", "amr", "--trace", ""], "--trace"),
-        (["run", "--workload", "demo.workload", "--algorithm", "amr", "--csv", ""], "--csv"),
-        (["compare", "--workload", "demo.workload", "--algorithm", "mtf", "--csv", ""], "--csv"),
-        (["run", "--workload", "", "--algorithm", "amr"], "--workload"),
-        (["gen", "--dist", "reverse", "--list-size", "3", "-o", ""], "--output"),
-    ],
-    ids=["run-trace", "run-csv", "compare-csv", "run-workload", "gen-o"],
-)
-def test_empty_path_exits_two_before_any_write(argv, flag, demo_path, tmp_path, monkeypatch, capsys):
-    monkeypatch.chdir(tmp_path)
-    assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {flag} names no file\n")
-    assert [p.name for p in tmp_path.iterdir()] == ["demo.workload"]
-    assert (tmp_path / "demo.workload").read_bytes() == DEMO.encode()
-
+@settings(max_examples=300)
+@given(argv=calls(), text=st.sampled_from([DEMO, "list: A B C\nbuffer: 1\nrequests: B A\n"]),
+       edits=st.lists(st.tuples(st.integers(0, 60), st.binary(max_size=2)), max_size=3))
+def test_every_call_exits_0_2_or_3_with_one_error_line(argv, text, edits):
+    data = bytearray(text.encode())
+    for pos, new in edits:  # replace, delete or insert bytes
+        data[pos:pos + 1] = new
+    with tempfile.TemporaryDirectory() as d:
+        Path(d, "w.workload").write_bytes(data)
+        code, out, err = in_process([arg.format(d=d) for arg in argv])
+    assert code in (0, 2, 3) or code == 1 and argv == ["paper-examples"]
+    if code in (2, 3) and not err.startswith(b"usage:"):
+        # the last line; a short-sequence warning or a compare skip note may come first
+        *notes, line, end = err.decode().split("\n")
+        assert line.startswith("error: ") and end == ""
+        assert all(note.startswith(("warning: ", "skip ")) for note in notes)
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -521,6 +301,8 @@ ENTRY_POINTS = {
     "sweep_compare": [str(SCRIPTS / "sweep_compare.py"), "--seeds", "1", "--buffers", "1"],
     "buffer_sensitivity": [str(SCRIPTS / "buffer_sensitivity.py"), "--max-buffer", "0"],
     "help": ["-m", "listlab.cli", "--help"],
+    "sweep_compare-help": [str(SCRIPTS / "sweep_compare.py"), "--help"],
+    "buffer_sensitivity-help": [str(SCRIPTS / "buffer_sensitivity.py"), "--help"],
 }
 UNWRITABLE_STDOUT = [(entry, buffered) for entry in sorted(ENTRY_POINTS) for buffered in (True, False)]
 

@@ -44,7 +44,8 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from collections.abc import Iterator
 from functools import partial
-from itertools import compress
+from itertools import compress, filterfalse
+from operator import itemgetter
 
 from .core import ListConfig, RequestSequence, Workload, position
 from .costs import CostBreakdown, StepEvent, Steps
@@ -119,9 +120,10 @@ def buffer_insert(
     same rule out in its locals; keep the two in step.
     """
     resident = buffer.resident
-    fresh = [e for _, e in candidates if e not in resident]
+    fresh = list(filterfalse(resident.__contains__, map(itemgetter(1), candidates)))
     capacity = buffer.capacity
-    del fresh[: max(0, len(fresh) - capacity)]
+    if len(fresh) > capacity:
+        del fresh[: len(fresh) - capacity]
     slots = buffer.slots
     inserted: list[tuple[int, str]] = []
     evicted: list[tuple[int, str]] = []
@@ -242,8 +244,9 @@ def serve_amr(workload: Workload) -> tuple[CostBreakdown, Steps]:
         matched = table[t]
         if matched:
             matching += len(matched)
-            fresh = [e for e in matched if e not in resident]
-            del fresh[: max(0, len(fresh) - capacity)]
+            fresh = list(filterfalse(resident.__contains__, matched))
+            if len(fresh) > capacity:
+                del fresh[: len(fresh) - capacity]
             for e in fresh:
                 if len(slots) < capacity:
                     slots.append(e)

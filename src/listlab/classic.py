@@ -22,11 +22,13 @@ last access and find it by bisecting a sorted list of stamps: the whole
 list read back to front for mtf, one count group for fc.
 
 The step functions serve the list alone; run_classic then does the
-accounting. It evaluates the access cost once per distinct position,
-not once per request, and prices the exchanges once per run from the
-summed transpositions, since free-eligible exchanges cost d each under
-pd:<d> and nothing otherwise. The events are built only when the
-returned steps are iterated, in one pass over the positions and moves.
+accounting. It sums the access costs with costs.access_total, in C-level
+passes without a Python call per request, and prices the exchanges once
+per run from the summed transpositions, since free-eligible exchanges
+cost d each under pd:<d> and nothing otherwise. The events are built
+only when the returned steps are iterated, in one pass over the
+positions and moves; that pass alone evaluates access_cost, once per
+distinct position, for each step's cost.
 Positions and moves do not depend on the cost model, so reprice gives
 the same run under another model without serving the requests again.
 """
@@ -46,6 +48,7 @@ from .costs import (
     Steps,
     Unsupported,
     access_cost,
+    access_total,
     exchange_cost,
 )
 
@@ -126,7 +129,7 @@ def _transpose(workload: Workload):
             ordering[i - 1] = y
             pos[x] = i - 1
             pos[y] = i
-    return positions, [int(i > 1) for i in positions], ordering
+    return positions, [1 if i > 1 else 0 for i in positions], ordering
 
 
 def _fc(workload: Workload):
@@ -201,21 +204,26 @@ class ClassicSteps(Steps):
 
     __slots__ = ("algorithm", "workload", "positions", "moves")
 
-    def __init__(self, algorithm: str, workload: Workload, positions: list[int],
-                 moves: list[int], access_of):
-        super().__init__(len(positions), partial(
-            _events, workload.requests.requests, positions, access_of, moves))
+    def __init__(self, algorithm: str, model: CostModel, workload: Workload,
+                 positions: list[int], moves: list[int]):
+        super().__init__(len(positions), partial(_events, model, workload, positions, moves))
         self.algorithm = algorithm
         self.workload = workload
         self.positions = positions
         self.moves = moves
 
 
-def _events(requests, positions, access_of, moves):
+def _events(model, workload, positions, moves):
+    # access_cost is pure, so it is evaluated once per distinct position
+    # and every step reads its cost from the table. The table is built
+    # here, when the steps are iterated, since the breakdown needs none.
     # One pass builds every event: tuple.__new__ makes a StepEvent
     # straight from its fields, without a Python call per request.
+    l = workload.list.l
+    access_of = {i: access_cost(model, i, l) for i in set(positions)}.__getitem__
     return map(tuple.__new__, repeat(StepEvent), zip(
-        count(1), requests, repeat("list"), positions, map(access_of, positions),
+        count(1), workload.requests.requests, repeat("list"), positions,
+        map(access_of, positions),
         repeat(()), repeat(()), repeat(()), repeat(()), moves,
     ))
 
@@ -229,16 +237,16 @@ def _check_pair(algorithm: str, model: CostModel) -> None:
 
 def _account(algorithm: str, model: CostModel, workload: Workload, positions: list[int],
              moves: list[int]) -> tuple[CostBreakdown, ClassicSteps]:
-    l = workload.list.l
-    # access_cost is pure, so it is evaluated once per distinct position
-    # and every step reads its cost from the table. Every move is
-    # free-eligible, whose cost is additive in transpositions, so one
-    # exchange_cost call prices the summed moves. Both are looked up as
-    # module globals, so that callers can wrap them to watch the accounting.
-    access_of = {i: access_cost(model, i, l) for i in set(positions)}.__getitem__
-    exchange = exchange_cost(model, ExchangeKind.FREE_ELIGIBLE, sum(moves))
-    breakdown = CostBreakdown(access=sum(map(access_of, positions)), exchange=exchange)
-    return breakdown, ClassicSteps(algorithm, workload, positions, moves, access_of)
+    # access_total sums the access costs without a Python call per
+    # request. Every move is free-eligible, whose cost is additive in
+    # transpositions, so one exchange_cost call prices the summed moves.
+    # exchange_cost, like access_cost in _events, is looked up as a module
+    # global, so that callers can wrap it to watch the accounting.
+    breakdown = CostBreakdown(
+        access=access_total(model, positions, workload.list.l),
+        exchange=exchange_cost(model, ExchangeKind.FREE_ELIGIBLE, sum(moves)),
+    )
+    return breakdown, ClassicSteps(algorithm, model, workload, positions, moves)
 
 
 def run_classic(

@@ -10,6 +10,8 @@ from __future__ import annotations
 import enum
 from collections import namedtuple
 from collections.abc import Callable, Iterator
+from itertools import repeat
+from operator import sub
 
 from .core import Value
 
@@ -93,6 +95,24 @@ def access_cost(model: CostModel, i: int, l: int) -> int:
     if model.kind == "partial":
         return i - 1
     return abs(i - center_position(l))
+
+
+def access_total(model: CostModel, positions: list[int], l: int) -> int:
+    """The sum of access_cost(model, i, l) over the positions.
+
+    It makes no Python call per position: one set of the positions is
+    checked against 1..l, raising OutOfRange as access_cost does, and
+    one sum prices them all.
+    """
+    distinct = set(positions)
+    low, high = min(distinct, default=1), max(distinct, default=l)
+    if low < 1 or high > l:
+        raise OutOfRange(f"position {low if low < 1 else high} outside 1..{l}")
+    if model.kind in ("full", "pd"):
+        return sum(positions)
+    if model.kind == "partial":
+        return sum(positions) - len(positions)
+    return sum(map(abs, map(sub, positions, repeat(center_position(l)))))
 
 
 def exchange_cost(model: CostModel, kind: ExchangeKind, transpositions: int) -> int:

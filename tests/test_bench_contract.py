@@ -43,6 +43,10 @@ def test_traced_cli_steps_record_every_wrapped_span(tmp_path):
         ["gen", "--dist", "zipf:1.2", "--list-size", "9", "--length", "40", "--seed", "1",
          "-o", str(tmp_path / "gen.workload")],
         ["run", "--workload", str(demo), "--algorithm", "amr", "--trace", str(tmp_path / "t")],
+        # Only a traced classical run evaluates access_cost, once per
+        # distinct position; the benchmark's CLI cycle makes this call.
+        ["run", "--workload", str(demo), "--algorithm", "mtf", "--model", "full",
+         "--trace", str(tmp_path / "mtf.trace")],
         ["compare", "--workload", str(demo), "--algorithm", ",".join(cli.ALGORITHM_TOKENS)],
         ["paper-examples"],
     )

@@ -416,8 +416,14 @@ def test_access_cost_per_distinct_position_exchange_cost_once_per_run(algorithm)
         positions, moves, _ = classic._STEPS[algorithm](w)
         with mock.patch.object(classic, "access_cost", wraps=access_cost) as access, \
                 mock.patch.object(classic, "exchange_cost", wraps=exchange_cost) as exchange:
-            run_classic(algorithm, pd(2), w)
+            _, steps, _ = run_classic(algorithm, pd(2), w)
+            # the breakdown sums the access costs without calling access_cost
+            assert access.call_count == 0, l
+            # one call prices the whole run from its summed transpositions
+            assert exchange.call_count == 1, l
+            assert exchange.call_args.args == (pd(2), ExchangeKind.FREE_ELIGIBLE, sum(moves)), l
+            # iterating the steps evaluates each distinct position once
+            for _ in steps:
+                pass
         assert access.call_count == len(set(positions)) <= min(w.requests.n, l), l
-        # one call prices the whole run from its summed transpositions
         assert exchange.call_count == 1, l
-        assert exchange.call_args.args == (pd(2), ExchangeKind.FREE_ELIGIBLE, sum(moves)), l

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from listlab.costs import (
     CENTRALIZED,
@@ -11,6 +11,7 @@ from listlab.costs import (
     InvalidModel,
     OutOfRange,
     access_cost,
+    access_total,
     center_position,
     exchange_cost,
     model_token,
@@ -81,6 +82,32 @@ def test_access_monotone_and_unimodal(l):
     assert central[:c] == sorted(central[:c], reverse=True)
     assert central[c - 1 :] == sorted(central[c - 1 :])
     assert min(central) == central[c - 1] == 0
+
+
+position_lists = st.integers(1, 40).flatmap(
+    lambda l: st.tuples(st.lists(st.integers(1, l), max_size=60), st.just(l))
+)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+@given(position_lists)
+@example(([], 1))
+@example(([], 6))
+@example(([1, 5, 3, 3, 2], 5))  # odd l
+@example(([1, 6, 3, 4, 4], 6))  # even l
+def test_access_total_is_the_sum_of_access_costs(model, ps_l):
+    ps, l = ps_l
+    assert access_total(model, ps, l) == sum(access_cost(model, i, l) for i in ps)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS)
+@given(position_lists, st.data())
+def test_access_total_refuses_positions_outside_the_list(model, ps_l, data):
+    ps, l = ps_l
+    bad = data.draw(st.sampled_from((0, l + 1)) | st.integers(max_value=-1), label="bad")
+    at = data.draw(st.integers(0, len(ps)), label="at")
+    with pytest.raises(OutOfRange):
+        access_total(model, ps[:at] + [bad] + ps[at:], l)
 
 
 def test_free_exchange_costs_nothing_under_full():

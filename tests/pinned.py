@@ -83,6 +83,14 @@ ROWS = {
          {"stdout": "run-mtf-full-reverse-eleven.stdout",
           "out.trace": "run-mtf-full-reverse-eleven.trace"}),
     ],
+    # centralized on an odd list length, every position accessed once
+    "run-static-centralized-reverse-eleven": [
+        ("run --workload {golden}/reverse-eleven.workload --algorithm static --model centralized"
+         " --trace out.trace",
+         {"stdout": "algorithm=static model=centralized n=11 l=11 buffer=3\n"
+                    "access=30 matching=0 replacement=0 exchange=0 total=30\n",
+          "out.trace": "924168557c6906acfe1c081d3f2134bc2a15ec761a793b14f5b8254293af7582"}),
+    ],
     # exchange 20: run's stdout and CSV with a nonzero exchange
     "run-transpose-pd2-demonstration": [
         ("run --workload {golden}/demonstration.workload --algorithm transpose --model pd:2"
@@ -113,6 +121,14 @@ ROWS = {
          {"amr.trace": "e953ce68bd8306fdcf62b210da473d529b0c33af7de813d4b8d359cd9b105137"}),
         ("run --workload w.workload --algorithm mtf --model pd:2 --trace mtf.trace",
          {"mtf.trace": "957d9b097e6060f193c0d3319812e1d921a1a4296e3bbebc820eac890306daf9"}),
+        # the other classical traces: centralized on an even list length,
+        # transpose under partial, and fc's stamps beyond FC_SCAN_MAX
+        ("run --workload w.workload --algorithm static --model centralized --trace static.trace",
+         {"static.trace": "6d378d998c939c1c97c962a146633dfb5415c64cd592daae00ed1402c697aace"}),
+        ("run --workload w.workload --algorithm transpose --model partial --trace transpose.trace",
+         {"transpose.trace": "033bffcdb39ff18c489ab33b3a297a80490466159662ff1b9891747f943fac32"}),
+        ("run --workload w.workload --algorithm fc --model pd:2 --trace fc.trace",
+         {"fc.trace": "a25ed3ea874a58fba6079aea8637df50a0d68605a1146320a7839bde0f44186a"}),
     ],
     # l as large as n under skew: nearly every list element is filed in the step table
     "wide-hot": [
@@ -122,6 +138,9 @@ ROWS = {
          {"amr.trace": "5140c891d0d8b22aa31840ed369a0430461c555a526d0f476d1aa332b6000e0b"}),
         ("compare --workload w.workload --algorithm amr",
          {"stdout": "72466d683ec5f1e4a1784e5feca4e83a6713a16a381656efddbf3dab76d17a47"}),
+        # mtf's stamps beyond SCAN_MAX, on requests that revisit the front
+        ("run --workload w.workload --algorithm mtf --model full --trace mtf.trace",
+         {"mtf.trace": "b6eda02bb078a7a3a13a2017ce7258e4833b504a96394aab1c39936d1448e911"}),
     ],
     # amr at l=1000 where set_flags' scan rule decides (buffer 1000) and with
     # hot residents; both traces take both of set_flags' rules. The traces come
@@ -151,6 +170,9 @@ ROWS = {
          {"amr.trace": "0496d8bab2fb4551d1cc661870b40de487141a0cca6a3ac85b6342904e060bf6"}),
         (f"compare --workload w.workload {EVERY_PAIR}",
          {"stdout": "0a2fe735c1044d09738d25802e7e15aefd5b6a49171ab6a5490432a0a7542951"}),
+        # fc's group scan, at most FC_SCAN_MAX elements
+        ("run --workload w.workload --algorithm fc --model pd:2 --trace fc.trace",
+         {"fc.trace": "30998c07e2a2ff3412e2824cd0a4ff8765deed64b1822d9a54ece1b874e638c9"}),
     ],
     # l=10 with a one-slot buffer, so most requests are list accesses that read
     # the step table; every flag window is scanned

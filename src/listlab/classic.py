@@ -25,10 +25,12 @@ The step functions serve the list alone; run_classic then does the
 accounting. It sums the access costs with costs.access_total, in C-level
 passes without a Python call per request, and prices the exchanges once
 per run from the summed transpositions, since free-eligible exchanges
-cost d each under pd:<d> and nothing otherwise. The events are built
-only when the returned steps are iterated, in one pass over the
-positions and moves; that pass alone evaluates access_cost, once per
-distinct position, for each step's cost.
+cost d each under pd:<d> and nothing otherwise. The returned steps keep
+the run's columns: the requests, positions and moves, and on demand
+each step's access cost (ClassicSteps.costs), for which access_cost is
+evaluated once per distinct position. A trace streams its lines
+straight from those columns; StepEvents are built only when the steps
+are iterated, in one pass over the same columns.
 Positions and moves do not depend on the cost model, so reprice gives
 the same run under another model without serving the requests again.
 """
@@ -36,6 +38,7 @@ the same run under another model without serving the requests again.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Iterator
 from functools import partial
 from itertools import count, repeat
 
@@ -199,31 +202,38 @@ _STEPS = {"static": _static, "mtf": _mtf, "transpose": _transpose, "fc": _fc}
 
 
 class ClassicSteps(Steps):
-    """The steps of a classical run: the algorithm and workload, and each
-    request's position and move count, priced under one model."""
+    """The steps of a classical run: the algorithm, model and workload, and
+    each request's position and move count."""
 
-    __slots__ = ("algorithm", "workload", "positions", "moves")
+    __slots__ = ("algorithm", "model", "workload", "positions", "moves")
 
     def __init__(self, algorithm: str, model: CostModel, workload: Workload,
                  positions: list[int], moves: list[int]):
         super().__init__(len(positions), partial(_events, model, workload, positions, moves))
         self.algorithm = algorithm
+        self.model = model
         self.workload = workload
         self.positions = positions
         self.moves = moves
 
+    def costs(self) -> Iterator[int]:
+        """Each step's access cost under the model, in request order."""
+        return _costs(self.model, self.workload.list.l, self.positions)
 
-def _events(model, workload, positions, moves):
+
+def _costs(model, l, positions):
     # access_cost is pure, so it is evaluated once per distinct position
     # and every step reads its cost from the table. The table is built
-    # here, when the steps are iterated, since the breakdown needs none.
+    # only when the costs are asked for, since the breakdown needs none.
+    return map({i: access_cost(model, i, l) for i in set(positions)}.__getitem__, positions)
+
+
+def _events(model, workload, positions, moves):
     # One pass builds every event: tuple.__new__ makes a StepEvent
     # straight from its fields, without a Python call per request.
-    l = workload.list.l
-    access_of = {i: access_cost(model, i, l) for i in set(positions)}.__getitem__
     return map(tuple.__new__, repeat(StepEvent), zip(
         count(1), workload.requests.requests, repeat("list"), positions,
-        map(access_of, positions),
+        _costs(model, workload.list.l, positions),
         repeat(()), repeat(()), repeat(()), repeat(()), moves,
     ))
 
@@ -240,7 +250,7 @@ def _account(algorithm: str, model: CostModel, workload: Workload, positions: li
     # access_total sums the access costs without a Python call per
     # request. Every move is free-eligible, whose cost is additive in
     # transpositions, so one exchange_cost call prices the summed moves.
-    # exchange_cost, like access_cost in _events, is looked up as a module
+    # exchange_cost, like access_cost in _costs, is looked up as a module
     # global, so that callers can wrap it to watch the accounting.
     breakdown = CostBreakdown(
         access=access_total(model, positions, workload.list.l),

@@ -14,9 +14,10 @@ import io
 import os
 import sys
 from collections import namedtuple
+from itertools import count
 
 from .amr import serve_amr
-from .classic import CLASSIC_ALGORITHMS, reprice, run_classic
+from .classic import CLASSIC_ALGORITHMS, ClassicSteps, reprice, run_classic
 # Workload checks itself, so validate_workload is not called here; the
 # import stays because perfbench/tracer.py wraps cli.validate_workload.
 from .core import (
@@ -69,6 +70,21 @@ def format_trace_line(ev) -> str:
         f"matched={_pairs(matched)} inserted={_pairs(inserted)} evicted={_pairs(evicted)} "
         f"flags_added={';'.join(map(str, flags)) if flags else ''}"
     )
+
+
+# A classical step leaves every amr field empty, so its trace line is this
+# template filled from the run's columns: t, element, position and cost.
+CLASSIC_LINE = ("t=%s element=%s source=list position=%s cost=%s"
+                " matched= inserted= evicted= flags_added=\n")
+
+
+def trace_lines(steps):
+    """A run's trace, one line per request. A classical run's lines come
+    straight from its columns, without a StepEvent or a call per line."""
+    if isinstance(steps, ClassicSteps):
+        return map(CLASSIC_LINE.__mod__, zip(count(1), steps.workload.requests.requests,
+                                             steps.positions, steps.costs()))
+    return (format_trace_line(ev) + "\n" for ev in steps)
 
 
 def write_file(path: str, chunks) -> None:
@@ -144,16 +160,16 @@ def cmd_run(args) -> int:
     distinct_paths(workload=args.workload, trace=args.trace, csv=args.csv)
     model = None if args.model is None else parse_model_token(args.model)
     row, steps = run_pair(args.algorithm, model, _load_workload(args.workload))
+    # The files come first, so that a failed write leaves stdout empty.
+    if args.trace:
+        write_file(args.trace, trace_lines(steps))  # streamed, one line at a time
+    if args.csv:
+        write_file(args.csv, [rows_to_csv([row])])
     print(f"algorithm={row.algorithm} model={row.model} n={row.n} l={row.l} buffer={row.buffer}")
     print(
         f"access={row.access} matching={row.matching} replacement={row.replacement} "
         f"exchange={row.exchange} total={row.total}"
     )
-    if args.trace:
-        # streamed: one event at a time from the lazy steps
-        write_file(args.trace, (format_trace_line(ev) + "\n" for ev in steps))
-    if args.csv:
-        write_file(args.csv, [rows_to_csv([row])])
     return 0
 
 
@@ -186,9 +202,9 @@ def cmd_compare(args) -> int:
                 print(f"skip {a} under {model_token(model)}: {exc}", file=sys.stderr)
     rows.sort(key=lambda r: (r.algorithm, r.model))
     text = rows_to_csv(rows)
-    sys.stdout.write(text)
-    if args.csv:
+    if args.csv:  # first, so that a failed write leaves stdout empty
         write_file(args.csv, [text])
+    sys.stdout.write(text)
     return 0
 
 

@@ -285,14 +285,13 @@ ROWS = {
                                 "seed must be in 0..18446744073709551615, got -1")],
     "gen-seed-2**64": [fails(f"{GEN} --seed 18446744073709551616 -o w.workload",
                              "seed must be in 0..18446744073709551615, got 18446744073709551616")],
-    # an output path that cannot be written; run and compare print their
-    # stdout before the file fails
+    # an output path that cannot be written; run and compare write their
+    # files before stdout, so a failed write leaves stdout empty
     "run-trace-no-dir": [fails(f"run --workload {DEMO} --algorithm amr --trace missing/out",
-                               NO_DIR, stdout="run-amr-demonstration.stdout")],
-    "run-csv-no-dir": [fails(f"run --workload {DEMO} --algorithm amr --csv missing/out",
-                             NO_DIR, stdout="run-amr-demonstration.stdout")],
+                               NO_DIR)],
+    "run-csv-no-dir": [fails(f"run --workload {DEMO} --algorithm amr --csv missing/out", NO_DIR)],
     "compare-csv-no-dir": [fails(f"compare --workload {DEMO} --algorithm amr --csv missing/out",
-                                 NO_DIR, stdout="run-amr-demonstration.csv")],
+                                 NO_DIR)],
     "gen-o-no-dir": [fails("gen --dist reverse --list-size 3 -o missing/out", NO_DIR)],
     # an output that names the workload or the other output, refused before any write
     "run-trace-is-workload": [

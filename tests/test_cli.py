@@ -7,10 +7,13 @@ import tempfile
 import tracemalloc
 from contextlib import redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from listlab import classic
+from listlab.classic import CLASSIC_ALGORITHMS, run_classic
 from listlab.cli import (
     ALGORITHM_TOKENS,
     PAPER_EXAMPLES,
@@ -19,9 +22,11 @@ from listlab.cli import (
     main,
     rows_to_csv,
     run_pair,
+    trace_lines,
 )
-from listlab.core import parse_workload, serialize_workload
-from listlab.costs import parse_model_token
+from listlab.core import make_workload, parse_workload, serialize_workload
+from listlab.costs import CENTRALIZED, FULL, PARTIAL, model_token, parse_model_token, pd
+from listlab.workloads import generate, spec_from_dist_token
 from oracles import static_full_total
 from pinned import in_process
 from support import replays, rows_from_csv, workloads
@@ -120,6 +125,47 @@ def test_every_engine_steps_through_one_record(w):
             assert [value for _, value in fields[:5]] == [str(v) for v in ev[:5]]
             cost += int(fields[4][1])
         assert cost == row.access
+
+
+CLASSIC_PAIRS = [(a, m) for a in CLASSIC_ALGORITHMS for m in (FULL, PARTIAL, pd(1), pd(2))]
+CLASSIC_PAIRS.append(("static", CENTRALIZED))
+
+
+# n = 0, and n < l
+@example(w=make_workload("ABC", "", 0))
+@example(w=make_workload("ABCD", "DB", 0))
+@given(w=workloads(max_l=40, max_n=60))
+def test_classic_trace_lines_are_the_formatted_events(w):
+    # A classical trace is formatted from the run's columns, not from its
+    # events; the lines must be the ones the events format to.
+    for algorithm, model in CLASSIC_PAIRS:
+        _, steps, _ = run_classic(algorithm, model, w)
+        expected = [format_trace_line(ev) + "\n" for ev in steps]
+        assert list(trace_lines(steps)) == expected, (algorithm, model_token(model))
+
+
+def builds_no_event(*args):
+    raise AssertionError("a StepEvent was built")
+
+
+@pytest.mark.parametrize("algorithm, model", [
+    ("static", "centralized"), ("mtf", "full"), ("transpose", "partial"), ("fc", "pd:2")])
+def test_classic_trace_builds_no_event(algorithm, model, tmp_path, monkeypatch, capsys):
+    # A traced classical run reads each step's cost from a table over
+    # the distinct positions, one access_cost call each, and builds no
+    # StepEvent; l=40 puts mtf on its stamps.
+    w = generate(spec_from_dist_token("zipf:1.2", 40, 500, 1), 0)
+    path, trace = tmp_path / "w.workload", tmp_path / "t"
+    path.write_text(serialize_workload(w), encoding="utf-8")
+    positions, _, _ = classic._STEPS[algorithm](w)
+    monkeypatch.setattr(classic, "_events", builds_no_event)
+    with mock.patch.object(classic, "access_cost", wraps=classic.access_cost) as access:
+        assert main(["run", "--workload", str(path), "--algorithm", algorithm,
+                     "--model", model, "--trace", str(trace)]) == 0
+    assert access.call_count == len(set(positions)) < len(positions)
+    lines = trace.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 500
+    assert lines[0].startswith("t=1 ") and lines[-1].startswith("t=500 ")
 
 
 # --- compare -----------------------------------------------------------------
@@ -283,6 +329,8 @@ def test_every_call_exits_0_2_or_3_with_one_error_line(argv, text, edits):
         Path(d, "w.workload").write_bytes(data)
         code, out, err = in_process([arg.format(d=d) for arg in argv])
     assert code in (0, 2, 3) or code == 1 and argv == ["paper-examples"]
+    if code in (2, 3):
+        assert out == b"", "a failing call wrote to stdout"
     if code in (2, 3) and not err.startswith(b"usage:"):
         # the last line; a short-sequence warning or a compare skip note may come first
         *notes, line, end = err.decode().split("\n")

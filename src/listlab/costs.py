@@ -156,8 +156,8 @@ class Steps:
 
     len() is the request count n. The engines compute their breakdowns
     without events, so a caller that reads only the totals builds none,
-    and one that streams the events, as `run --trace` does, holds one at
-    a time. `events` is called once per iteration and returns an
+    and one that streams the events, as `run --algorithm amr --trace`
+    does, holds one at a time. `events` is called once per iteration and returns an
     iterator over the n events in request order.
     """
 

@@ -150,7 +150,7 @@ def builds_no_event(*args):
 
 @pytest.mark.parametrize("algorithm, model", [
     ("static", "centralized"), ("mtf", "full"), ("transpose", "partial"), ("fc", "pd:2")])
-def test_classic_trace_builds_no_event(algorithm, model, tmp_path, monkeypatch, capsys):
+def test_classic_trace_builds_no_event(algorithm, model, tmp_path, monkeypatch):
     # A traced classical run reads each step's cost from a table over
     # the distinct positions, one access_cost call each, and builds no
     # StepEvent; l=40 puts mtf on its stamps.

@@ -11,7 +11,7 @@ import sys
 
 from listlab.classic import CLASSIC_ALGORITHMS
 from listlab.cli import CliError, Parser, distinct_paths, guard, rows_to_csv, run_pair
-from listlab.cli import split_tokens, write_file
+from listlab.cli import note, split_tokens, write_file
 from listlab.core import check_buffer
 from listlab.workloads import generate, spec_from_dist_token
 
@@ -55,7 +55,7 @@ def main(argv=None) -> int:
         sys.stdout.write(text)
         return 0
     write_file(args.output, [text])
-    print(f"wrote {len(rows)} rows to {args.output}", file=sys.stderr)
+    note(f"wrote {len(rows)} rows to {args.output}")
     return 0
 
 

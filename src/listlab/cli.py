@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 a paper-examples mismatch, 2 input error or a
 stdout that cannot be written, 3 unsupported algorithm/model pair; guard maps
-each error to its code. Identical invocations produce byte-identical output.
+each error to its code, and publishes the files write_file stages and the
+stderr lines note holds only once the command has returned and its stdout is
+written. Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import errno
 import io
 import os
 import sys
@@ -87,13 +90,38 @@ def trace_lines(steps):
     return (format_trace_line(ev) + "\n" for ev in steps)
 
 
+# Staged (path, temporary file, target) and notes; guard clears both after every call.
+_staged: list[tuple[str, str, str]] = []
+_notes: list[str] = []
+
+
 def write_file(path: str, chunks) -> None:
-    """Stream text chunks to a file; a failed write is an input error."""
+    """Stream text chunks to a hidden file beside path, which guard moves
+    onto path once the call has succeeded; what open(path, "w") refuses is
+    an input error naming path. A symlink is written through, and a
+    directory, or a device or pipe such as /dev/null or /dev/stdout, is
+    opened as path itself."""
     try:
-        with open(path, "w", encoding="utf-8") as out:
+        if path.endswith(os.sep) or os.path.exists(path) and not os.path.isfile(path):
+            out = open(path, "w", encoding="utf-8")
+        elif os.path.exists(path) and not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        else:
+            target = os.path.realpath(path)  # a short temporary name fits wherever path's does
+            temp = os.path.join(os.path.dirname(target), f".listlab-{os.getpid()}-{len(_staged)}")
+            out = open(temp, "x", encoding="utf-8")
+            _staged.append((path, temp, target))
+        with out:
             out.writelines(chunks)
     except OSError as exc:
+        if exc.filename is not None:  # path, not the temporary file
+            exc = OSError(exc.errno, exc.strerror, path)
         raise CliError(f"cannot write {path}: {exc}") from None
+
+
+def note(text: str) -> None:
+    """A stderr line that guard prints once the call has succeeded."""
+    _notes.append(text)
 
 
 def distinct_paths(**paths: str | None) -> None:
@@ -125,7 +153,7 @@ def _load_workload(path: str) -> Workload:
         raise CliError(f"{path}: invalid workload: {exc}") from None
     n, l = w.requests.n, w.list.l
     if n < l:  # legal for every engine, so only warned about
-        print(f"warning: request sequence shorter than list (n={n} < l={l})", file=sys.stderr)
+        note(f"warning: request sequence shorter than list (n={n} < l={l})")
     return w
 
 
@@ -160,7 +188,6 @@ def cmd_run(args) -> int:
     distinct_paths(workload=args.workload, trace=args.trace, csv=args.csv)
     model = None if args.model is None else parse_model_token(args.model)
     row, steps = run_pair(args.algorithm, model, _load_workload(args.workload))
-    # The files come first, so that a failed write leaves stdout empty.
     if args.trace:
         write_file(args.trace, trace_lines(steps))  # streamed, one line at a time
     if args.csv:
@@ -199,10 +226,10 @@ def cmd_compare(args) -> int:
                 row, steps = run_pair(a, model, w, steps)
                 rows.append(row)
             except Unsupported as exc:
-                print(f"skip {a} under {model_token(model)}: {exc}", file=sys.stderr)
+                note(f"skip {a} under {model_token(model)}: {exc}")
     rows.sort(key=lambda r: (r.algorithm, r.model))
     text = rows_to_csv(rows)
-    if args.csv:  # first, so that a failed write leaves stdout empty
+    if args.csv:
         write_file(args.csv, [text])
     sys.stdout.write(text)
     return 0
@@ -224,8 +251,8 @@ def cmd_gen(args) -> int:
         print(echo)
         print(f"wrote {args.output}")
     else:
-        print(text, end="", flush=True)  # a failed write stops gen before the echo
-        print(echo, file=sys.stderr)
+        print(text, end="")
+        note(echo)
     return 0
 
 
@@ -302,14 +329,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def guard(func, *args) -> int:
-    """Call func(*args), flush stdout and return func's exit code. Unsupported
-    exits 3, and an input error or a failed stdout write exits 2, each with
-    one error: line on stderr, or none if stderr cannot be written."""
+    """Call func(*args), flush stdout, move each staged file onto its path,
+    print the notes and return func's exit code. Unsupported exits 3, and an
+    input error or a failed stdout write exits 2, each with one error: line
+    on stderr, or none if stderr cannot be written, and no file or note."""
     try:
         try:
-            return func(*args)
+            code = func(*args)
         finally:
             sys.stdout.flush()
+        for path, temp, target in _staged:
+            try:
+                os.replace(temp, target)
+            except OSError as exc:  # worded as if open(path) had failed
+                exc = OSError(exc.errno, exc.strerror, path)
+                raise CliError(f"cannot write {path}: {exc}") from None
+        for text in _notes:
+            print(text, file=sys.stderr)
+        return code
     except Unsupported as exc:
         code, message = 3, exc
     except (CliError, InvalidModel, InvalidSpec, InvalidWorkload) as exc:
@@ -318,6 +355,12 @@ def guard(func, *args) -> int:
         code, message = 2, f"cannot write stdout: {exc}"
         with contextlib.suppress(OSError):
             sys.stdout.close()  # else exit would flush the unwritten rest again
+    finally:
+        for _, temp, _ in _staged:  # gone already if it was published
+            with contextlib.suppress(OSError):
+                os.remove(temp)
+        _staged.clear()
+        _notes.clear()
     try:
         print(f"error: {message}", file=sys.stderr)
     except OSError:  # nothing is left to report on but the exit code

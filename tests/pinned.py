@@ -18,6 +18,11 @@ and its error line; `fails(cmd, message)` builds one:
     "run-missing-file": [fails("run --workload nope --algorithm amr",
                                "cannot read nope: [Errno 2] No such file or directory: 'nope'")],
 
+The unchanged-directory rule also holds for a call whose stdout cannot be
+written: cli.guard publishes a call's files only after its stdout. Rows
+capture stdout, so they cannot fail it; tests/test_cli.py checks that case
+with children whose stdout is /dev/full.
+
 Usage errors, whose text argparse words differently from one Python
 version to the next, are not rows.
 
@@ -53,6 +58,7 @@ MTF_AMR = ("algorithm,model,access,matching,replacement,exchange,total,n,l,buffe
            "amr,amr,31,4,1,0,36,10,9,3,\nmtf,full,58,0,0,0,58,10,9,3,\n")
 NEGATIVE = "{golden}/negative-buffer.workload: invalid workload: negative buffer capacity -1"
 NO_DIR = "cannot write missing/out: [Errno 2] No such file or directory: 'missing/out'"
+SHORT = "gen --dist uniform --list-size 3 --length 2 --buffer 1 -o s.workload"  # n=2 < l=3
 NOT_UTF8 = ("cannot read {golden}/latin1.workload:"
             " 'utf-8' codec can't decode byte 0xc4 in position 6: invalid continuation byte")
 
@@ -233,6 +239,17 @@ ROWS = {
                     "access=3 matching=0 replacement=0 exchange=0 total=3\n",
           "stderr": "warning: request sequence shorter than list (n=2 < l=3)\n"}),
     ],
+    # a failing call drops its warning and skip notes: its error line is all it writes
+    "run-short-mtf-centralized": [
+        (SHORT, {}),
+        fails("run --workload s.workload --algorithm mtf --model centralized",
+              "only the static algorithm is defined under the centralized model", 3),
+    ],
+    "compare-short-csv-no-dir": [
+        (SHORT, {}),
+        fails("compare --workload s.workload --algorithm static,mtf --model centralized,full"
+              " --csv missing/out", NO_DIR),
+    ],
     # unsupported pairs exit 3
     "run-mtf-centralized": [fails(f"run --workload {DEMO} --algorithm mtf --model centralized",
                                   "only the static algorithm is defined under the centralized"
@@ -285,11 +302,16 @@ ROWS = {
                                 "seed must be in 0..18446744073709551615, got -1")],
     "gen-seed-2**64": [fails(f"{GEN} --seed 18446744073709551616 -o w.workload",
                              "seed must be in 0..18446744073709551615, got 18446744073709551616")],
-    # an output path that cannot be written; run and compare write their
-    # files before stdout, so a failed write leaves stdout empty
+    # an output path that cannot be written; the call writes no other file
+    # and nothing to stdout
     "run-trace-no-dir": [fails(f"run --workload {DEMO} --algorithm amr --trace missing/out",
                                NO_DIR)],
     "run-csv-no-dir": [fails(f"run --workload {DEMO} --algorithm amr --csv missing/out", NO_DIR)],
+    "run-trace-then-csv-no-dir": [
+        fails(f"run --workload {DEMO} --algorithm amr --trace t --csv missing/out", NO_DIR)],
+    # a directory is opened as itself, so it fails before the run is written anywhere
+    "run-trace-is-a-directory": [fails(f"run --workload {DEMO} --algorithm mtf --trace .",
+                                       "cannot write .: [Errno 21] Is a directory: '.'")],
     "compare-csv-no-dir": [fails(f"compare --workload {DEMO} --algorithm amr --csv missing/out",
                                  NO_DIR)],
     "gen-o-no-dir": [fails("gen --dist reverse --list-size 3 -o missing/out", NO_DIR)],

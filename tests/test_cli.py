@@ -28,7 +28,7 @@ from listlab.core import make_workload, parse_workload, serialize_workload
 from listlab.costs import CENTRALIZED, FULL, PARTIAL, model_token, parse_model_token, pd
 from listlab.workloads import generate, spec_from_dist_token
 from oracles import static_full_total
-from pinned import in_process
+from pinned import files, in_process
 from support import replays, rows_from_csv, workloads
 
 DEMO = "list: A B C D E F G H I\nbuffer: 3\nrequests: I E G D I E D B A I\n"
@@ -281,6 +281,59 @@ test_colliding_paths_exit_two_before_any_write = replays(
 test_empty_path_exits_two_before_any_write = replays(
     {"run-trace": "run-empty-trace", "run-csv": "run-empty-csv", "compare-csv": "compare-empty-csv",
      "run-workload": "run-empty-workload", "gen-o": "gen-empty-o"})
+test_failing_call_publishes_no_file_and_no_note = replays(
+    {"trace-then-csv": "run-trace-then-csv-no-dir", "directory": "run-trace-is-a-directory",
+     "run-warning": "run-short-mtf-centralized", "compare-notes": "compare-short-csv-no-dir"})
+
+
+def test_an_output_is_checked_as_open_would_before_the_run(demo_path, tmp_path, monkeypatch,
+                                                           capsys):
+    # an existing file this process may not write is refused up front and kept
+    monkeypatch.chdir(tmp_path)
+    Path("out.csv").write_text("old\n", encoding="utf-8")
+    monkeypatch.setattr(os, "access", lambda path, mode: False)
+    assert main(["run", "--workload", demo_path, "--algorithm", "mtf", "--csv", "out.csv"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: cannot write out.csv: [Errno 13] Permission denied: 'out.csv'\n")
+    assert sorted(os.listdir()) == ["demo.workload", "out.csv"]
+    assert Path("out.csv").read_text(encoding="utf-8") == "old\n"
+
+
+def test_a_file_that_cannot_be_moved_onto_its_path_is_named(demo_path, tmp_path, monkeypatch,
+                                                            capsys):
+    def refuse(src, dst):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), src, None, dst)
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(os, "replace", refuse)
+    assert main(["run", "--workload", demo_path, "--algorithm", "mtf", "--trace", "t"]) == 2
+    assert capsys.readouterr().err == "error: cannot write t: [Errno 21] Is a directory: 't'\n"
+    assert os.listdir() == ["demo.workload"]  # the staged file is removed
+
+
+def test_an_output_through_a_symlink_replaces_its_target(demo_path, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("link").symlink_to("out.csv")
+    assert main(["run", "--workload", demo_path, "--algorithm", "amr", "--csv", "link"]) == 0
+    assert Path("link").is_symlink()
+    assert Path("out.csv").read_text(encoding="utf-8").startswith("algorithm,model,")
+    assert sorted(os.listdir()) == ["demo.workload", "link", "out.csv"]
+
+
+def test_an_output_name_of_any_length_is_staged(demo_path, tmp_path, monkeypatch):
+    # the staged file's own name must fit wherever its target's does
+    monkeypatch.chdir(tmp_path)
+    name = "x" * os.pathconf(".", "PC_NAME_MAX")
+    assert main(["run", "--workload", demo_path, "--algorithm", "amr", "--trace", name]) == 0
+    assert sorted(os.listdir()) == ["demo.workload", name]
+
+
+def test_a_device_is_written_in_place(demo_path, monkeypatch):
+    # staged, /dev/null would be replaced by a regular file
+    moved = []
+    monkeypatch.setattr(os, "replace", lambda src, dst: moved.append(dst))
+    assert main(["run", "--workload", demo_path, "--algorithm", "mtf", "--trace", os.devnull]) == 0
+    assert moved == []
 
 
 # --- any argv: exit 0, 2 or 3, and one error: line ----------------------------
@@ -327,15 +380,16 @@ def test_every_call_exits_0_2_or_3_with_one_error_line(argv, text, edits):
         data[pos:pos + 1] = new
     with tempfile.TemporaryDirectory() as d:
         Path(d, "w.workload").write_bytes(data)
+        before = files(Path(d))
         code, out, err = in_process([arg.format(d=d) for arg in argv])
+        unchanged = files(Path(d)) == before
     assert code in (0, 2, 3) or code == 1 and argv == ["paper-examples"]
     if code in (2, 3):
         assert out == b"", "a failing call wrote to stdout"
+        assert unchanged, "a failing call created or changed a file"
     if code in (2, 3) and not err.startswith(b"usage:"):
-        # the last line; a short-sequence warning or a compare skip note may come first
-        *notes, line, end = err.decode().split("\n")
-        assert line.startswith("error: ") and end == ""
-        assert all(note.startswith(("warning: ", "skip ")) for note in notes)
+        # no warning or skip note: the error line is all a failing call writes
+        assert err.startswith(b"error: ") and err.count(b"\n") == 1 and err.endswith(b"\n")
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -375,6 +429,34 @@ def test_unwritable_stdout_is_one_error_line_and_exit_two(entry, buffered, demo_
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write stdout: ")
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("algorithm", ["mtf", "amr"])
+def test_unwritable_stdout_leaves_no_output_file(algorithm, demo_path, tmp_path):
+    # guard publishes the files only once stdout has been written
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = ["-m", "listlab.cli", "run", "--workload", demo_path, "--algorithm", algorithm,
+            "--trace", "t", "--csv", "c"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, *argv], stdout=full, stderr=subprocess.PIPE,
+                              text=True, cwd=out_dir, env=child_env(True), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+def test_gen_writes_its_workload_to_a_stdout_pipe(tmp_path):
+    proc = subprocess.run([sys.executable, *ENTRY_POINTS["gen"], "-o", "/dev/stdout"],
+                          capture_output=True, text=True, cwd=tmp_path, env=child_env(True),
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("list: A B C\nbuffer: 3\nrequests: C B A\n"
+                           "dist=reverse list-size=3 length=3 seed=0 buffer=3\n"
+                           "wrote /dev/stdout\n")
 
 
 # An input error, and gen's echo, which goes to stderr.

@@ -21,18 +21,18 @@ count. On longer lists both stamp each element with the time of its
 last access and find it by bisecting a sorted list of stamps: the whole
 list read back to front for mtf, one count group for fc.
 
-The step functions serve the list alone; run_classic then does the
-accounting. It sums the access costs with costs.access_total, in C-level
-passes without a Python call per request, and prices the exchanges once
-per run from the summed transpositions, since free-eligible exchanges
-cost d each under pd:<d> and nothing otherwise. The returned steps keep
-the run's columns: the requests, positions and moves, and on demand
-each step's access cost (ClassicSteps.costs), for which access_cost is
-evaluated once per distinct position. A trace streams its lines
-straight from those columns; StepEvents are built only when the steps
-are iterated, in one pass over the same columns.
-Positions and moves do not depend on the cost model, so reprice gives
-the same run under another model without serving the requests again.
+The step functions serve the list alone, taking every position from the
+list's own indices, so each lies in 1..l; run_classic then does the
+accounting. It prices the accesses with costs.access_total, one C-level
+sum that does not check them, and the exchanges once per run from the
+summed transpositions, since free-eligible exchanges cost d each under
+pd:<d> and nothing otherwise. The returned steps keep the run's columns:
+the requests, positions and moves, and on demand each step's access cost
+(ClassicSteps.costs), from access_cost, which checks its position, once
+per distinct position. A trace streams its lines straight from those
+columns; StepEvents are built only when the steps are iterated, in one
+pass over the same columns. Positions and moves do not depend on the
+cost model, so reprice gives the same run without serving it again.
 """
 
 from __future__ import annotations
@@ -222,9 +222,9 @@ class ClassicSteps(Steps):
 
 
 def _costs(model, l, positions):
-    # access_cost is pure, so it is evaluated once per distinct position
-    # and every step reads its cost from the table. The table is built
-    # only when the costs are asked for, since the breakdown needs none.
+    # access_cost is pure, so it is evaluated (and checks its position)
+    # once per distinct position; the table is built only when the costs
+    # are asked for, since the breakdown needs none.
     return map({i: access_cost(model, i, l) for i in set(positions)}.__getitem__, positions)
 
 
@@ -247,8 +247,8 @@ def _check_pair(algorithm: str, model: CostModel) -> None:
 
 def _account(algorithm: str, model: CostModel, workload: Workload, positions: list[int],
              moves: list[int]) -> tuple[CostBreakdown, ClassicSteps]:
-    # access_total sums the access costs without a Python call per
-    # request. Every move is free-eligible, whose cost is additive in
+    # access_total sums the access costs in one pass, building no set.
+    # Every move is free-eligible, whose cost is additive in
     # transpositions, so one exchange_cost call prices the summed moves.
     # exchange_cost, like access_cost in _costs, is looked up as a module
     # global, so that callers can wrap it to watch the accounting.

@@ -95,14 +95,25 @@ _staged: list[tuple[str, str, str]] = []
 _notes: list[str] = []
 
 
+def _names_stdout(path: str) -> bool:
+    try:
+        return os.path.samestat(os.stat(path), os.fstat(1))
+    except OSError:  # no such path, or no stdout
+        return False
+
+
 def write_file(path: str, chunks) -> None:
     """Stream text chunks to a hidden file beside path, which guard moves
     onto path once the call has succeeded; what open(path, "w") refuses is
     an input error naming path. A symlink is written through, and a
-    directory, or a device or pipe such as /dev/null or /dev/stdout, is
-    opened as path itself."""
+    directory, or a device or pipe such as /dev/null, is opened as path
+    itself. A path that names stdout's own file, such as /dev/stdout, is
+    written through stdout's open file, after what stdout already holds."""
     try:
-        if path.endswith(os.sep) or os.path.exists(path) and not os.path.isfile(path):
+        if _names_stdout(path):
+            sys.stdout.flush()
+            out = open(os.dup(1), "w", encoding="utf-8")  # shares stdout's offset
+        elif path.endswith(os.sep) or os.path.exists(path) and not os.path.isfile(path):
             out = open(path, "w", encoding="utf-8")
         elif os.path.exists(path) and not os.access(path, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
@@ -332,7 +343,10 @@ def guard(func, *args) -> int:
     """Call func(*args), flush stdout, move each staged file onto its path,
     print the notes and return func's exit code. Unsupported exits 3, and an
     input error or a failed stdout write exits 2, each with one error: line
-    on stderr, or none if stderr cannot be written, and no file or note."""
+    on stderr, or none if stderr cannot be written, and no file or note.
+    A move can fail only if its target changed during the call, as write_file
+    stages each file beside its target; that exits 2 after stdout is written,
+    leaving the files moved before it in place."""
     try:
         try:
             code = func(*args)

@@ -14,7 +14,6 @@ from listlab.costs import (
     FULL,
     PARTIAL,
     ExchangeKind,
-    OutOfRange,
     StepEvent,
     Unsupported,
     access_cost,
@@ -393,20 +392,6 @@ def test_events_are_step_events(algorithm):
                 assert len(ev) == len(StepEvent._fields), (l, model_token(model))
             assert [ev.t for ev in events] == list(range(1, 301))
             assert [ev.element for ev in events] == list(w.requests.requests)
-
-
-@pytest.mark.parametrize("position", [0, 4])
-def test_positions_outside_the_list_are_refused(position):
-    # A step function that reports a position outside 1..l must not
-    # slip through the cost table.
-    w = _workload("A B C".split(), "A B C".split())
-
-    def step(workload):
-        return [1, position, 2], [0, 0, 0], list(workload.list.elements)
-
-    with mock.patch.dict(classic._STEPS, {"static": step}):
-        with pytest.raises(OutOfRange):
-            run_classic("static", FULL, w)
 
 
 @pytest.mark.parametrize("algorithm", CLASSIC_ALGORITHMS)

@@ -449,14 +449,20 @@ def test_unwritable_stdout_leaves_no_output_file(algorithm, demo_path, tmp_path)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
-def test_gen_writes_its_workload_to_a_stdout_pipe(tmp_path):
-    proc = subprocess.run([sys.executable, *ENTRY_POINTS["gen"], "-o", "/dev/stdout"],
-                          capture_output=True, text=True, cwd=tmp_path, env=child_env(True),
-                          timeout=60)
+@pytest.mark.parametrize("stdout", ["pipe", "file"])
+def test_gen_writes_its_workload_to_a_stdout_pipe(stdout, tmp_path):
+    # -o /dev/stdout names stdout's own file, so the workload goes through
+    # stdout ahead of the echo, whether stdout is a pipe or a regular file.
+    argv = [sys.executable, *ENTRY_POINTS["gen"], "-o", "/dev/stdout"]
+    with open(tmp_path / "f.txt", "w", encoding="utf-8") as f:
+        proc = subprocess.run(argv, stdout=subprocess.PIPE if stdout == "pipe" else f,
+                              stderr=subprocess.PIPE, text=True, cwd=tmp_path,
+                              env=child_env(True), timeout=60)
+    written = proc.stdout if stdout == "pipe" else (tmp_path / "f.txt").read_text("utf-8")
     assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == ("list: A B C\nbuffer: 3\nrequests: C B A\n"
-                           "dist=reverse list-size=3 length=3 seed=0 buffer=3\n"
-                           "wrote /dev/stdout\n")
+    assert written == ("list: A B C\nbuffer: 3\nrequests: C B A\n"
+                       "dist=reverse list-size=3 length=3 seed=0 buffer=3\n"
+                       "wrote /dev/stdout\n")
 
 
 # An input error, and gen's echo, which goes to stderr.

@@ -100,16 +100,6 @@ def test_access_total_is_the_sum_of_access_costs(model, ps_l):
     assert access_total(model, ps, l) == sum(access_cost(model, i, l) for i in ps)
 
 
-@pytest.mark.parametrize("model", ALL_MODELS)
-@given(position_lists, st.data())
-def test_access_total_refuses_positions_outside_the_list(model, ps_l, data):
-    ps, l = ps_l
-    bad = data.draw(st.sampled_from((0, l + 1)) | st.integers(max_value=-1), label="bad")
-    at = data.draw(st.integers(0, len(ps)), label="at")
-    with pytest.raises(OutOfRange):
-        access_total(model, ps[:at] + [bad] + ps[at:], l)
-
-
 def test_free_exchange_costs_nothing_under_full():
     assert exchange_cost(FULL, ExchangeKind.FREE_ELIGIBLE, 8) == 0
 

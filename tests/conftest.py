@@ -4,8 +4,9 @@ from hypothesis import HealthCheck, settings
 from listlab.core import make_workload
 from pinned import check, in_process
 
+# 50 examples per property test, unless it needs more to kill its mutants.
 settings.register_profile(
-    "suite", deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    "suite", max_examples=50, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
 settings.load_profile("suite")
 

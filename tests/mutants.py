@@ -10,8 +10,9 @@ exactly once:
 
     python tests/mutants.py
 
-Pytest does not collect this module. A mutant counts as killed only if
-tier-1 passes on the unmutated checkout, which CI runs first.
+Pytest does not collect this module. A failing tier-1 would read as a
+kill for every mutant, so it first runs tier-1 on an unmutated copy and
+exits 1 with one line if that fails.
 """
 
 import os
@@ -65,6 +66,16 @@ ROWS = [
      "map(n.__rmod__, filter((span - span % n).__gt__, draws))", "map(n.__rmod__, draws)"),
     ("unsupported-exits-2", CLI, "code, message = 3, exc", "code, message = 2, exc"),
     ("scan-floor-4", AMR, "max(16, 8 * len(resident))", "max(4, 8 * len(resident))"),
+    ("flags-bisect-left-end", AMR, "bisect_right(at, end, lo)", "bisect_left(at, end, lo)"),
+    ("insert-keeps-first", AMR,
+     "\n        del fresh[: len(fresh) - capacity]", "\n        del fresh[capacity:]"),
+    ("parse-dup-key", CORE, "if key in found:", "if False:"),
+    ("mtf-stamped-at-back", CLASSIC, "append(l - k)", "append(l)"),
+    # Streamed traces and the commit point of a call's outputs.
+    ("trace-held-whole", CLI,
+     "write_file(args.trace, trace_lines(steps))", "write_file(args.trace, list(trace_lines(steps)))"),
+    ("no-flush-before-publish", CLI,
+     "finally:\n            sys.stdout.flush()", "finally:\n            pass"),
 ]
 
 
@@ -77,27 +88,43 @@ def first_failure(output: str) -> str:
     return lines[-1] if lines else "no output"
 
 
-def run(row) -> tuple[bool, str]:
-    """(passed, verdict) for one mutant; passed means killed."""
-    name, file, old, new = row
+def tier1(edit=None) -> tuple[int | None, str]:
+    """Tier-1 on a copy of the checkout with edit = (file, old, new) made,
+    or on an unmutated copy: (pytest's exit code, its stdout), or (None,
+    why) if old does not occur exactly once in file."""
     with tempfile.TemporaryDirectory(prefix="listlab-mutant-") as tmp:
         copy = Path(tmp) / "checkout"
         shutil.copytree(ROOT, copy, ignore=SKIP)
-        target = copy / file
-        text = target.read_text(encoding="utf-8")
-        if (found := text.count(old)) != 1:
-            return False, f"{name}: old text occurs {found} times in {file}"
-        target.write_text(text.replace(old, new), encoding="utf-8")
+        if edit:
+            file, old, new = edit
+            target = copy / file
+            text = target.read_text(encoding="utf-8")
+            if (found := text.count(old)) != 1:
+                return None, f"old text occurs {found} times in {file}"
+            target.write_text(text.replace(old, new), encoding="utf-8")
         env = {**os.environ, "PYTHONPATH": str(copy / "src")}
         proc = subprocess.run(TIER1, cwd=copy, env=env, capture_output=True, text=True)
-    if proc.returncode == 0:
+    return proc.returncode, proc.stdout
+
+
+def run(row) -> tuple[bool, str]:
+    """(passed, verdict) for one mutant; passed means killed."""
+    name, *edit = row
+    code, out = tier1(edit)
+    if code is None:
+        return False, f"{name}: {out}"
+    if code == 0:
         return False, f"{name}: survived"
-    if proc.returncode not in (1, 2):  # 1 tests failed, 2 collection failed
-        return False, f"{name}: pytest exited {proc.returncode}: {first_failure(proc.stdout)}"
-    return True, f"{name}: killed by {first_failure(proc.stdout)}"
+    if code not in (1, 2):  # 1 tests failed, 2 collection failed
+        return False, f"{name}: pytest exited {code}: {first_failure(out)}"
+    return True, f"{name}: killed by {first_failure(out)}"
 
 
 def main() -> int:
+    code, out = tier1()
+    if code != 0:
+        print(f"unmutated checkout: pytest exited {code}: {first_failure(out)}", flush=True)
+        return 1
     ok = True
     with ThreadPoolExecutor(max_workers=2) as pool:
         for passed, verdict in pool.map(run, ROWS):

@@ -252,6 +252,7 @@ def test_no_match_workload_costs_like_static():
     assert all(ev.source == "list" for ev in trace)
 
 
+@settings(max_examples=100)
 @given(w=workloads())
 def test_trace_replay_recovers_breakdown(w):
     breakdown, trace = serve_amr(w)
@@ -341,7 +342,7 @@ def test_engine_matches_plain_scan_reference(w):
 # --- the count path and the lazy steps ------------------------------------------
 
 
-@settings(max_examples=300)
+@settings(max_examples=100)
 @given(w=skewed_workloads(), capacity=st.integers(0, 12))
 def test_count_path_matches_reference_breakdown_under_skew(w, capacity):
     # hot elements stay resident through many list accesses, and small
@@ -466,7 +467,6 @@ def test_hot_resident_walks_its_whole_window():
     assert max(len(ev.flags_added) for ev in events) > 8
 
 
-@settings(max_examples=150)
 @given(
     w=st.one_of(
         workloads(min_l=40, max_l=120, max_n=400, buffers=(0,)),

@@ -4,7 +4,7 @@ from itertools import islice
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from listlab import classic
 from listlab.classic import CLASSIC_ALGORITHMS, reprice, run_classic
@@ -253,36 +253,25 @@ def test_offline_optimum_ignores_element_names(w, data):
     assert opt_full_total(names, renamed) == opt_full_total(elements, w.requests.requests)
 
 
-def _assert_partial_totals_are_pair_sums(w):
+@settings(max_examples=100)
+@given(w=skewed_workloads(max_l=40, max_n=80))
+def test_partial_totals_are_pair_sums(w):
+    # l up to 40 crosses mtf's scan cutoff; past fc's, the wide-list test
+    # below checks every position, and partial prices a position alike at any l
     for algorithm in ("static", "mtf", "fc"):
         total = run_classic(algorithm, PARTIAL, w)[0].total
         assert total == pair_total(algorithm, w.list.elements, w.requests.requests), algorithm
 
 
+@settings(max_examples=100)
 @given(w=skewed_workloads(max_l=40, max_n=80))
-def test_partial_totals_are_pair_sums(w):
-    # l up to 40 crosses mtf's scan cutoff; the wide case below crosses fc's
-    _assert_partial_totals_are_pair_sums(w)
-
-
-def test_wide_partial_totals_are_pair_sums():
-    # l=1000 is far wider than any OPT check reaches
-    _assert_partial_totals_are_pair_sums(generate(spec_from_dist_token("uniform", 1000, 2000, 7), 0))
-
-
-def _assert_pair_opt_bound_holds(w):
-    elements, requests = w.list.elements, w.requests.requests
-    bound = pair_opt_bound(elements, requests)
+def test_pair_opt_bound_is_below_every_partial_total(w):
+    bound = pair_opt_bound(w.list.elements, w.requests.requests)
     totals = {a: run_classic(a, PARTIAL, w)[0].total for a in CLASSIC_ALGORITHMS}
     # transpose lacks the pairwise property, so only the bound checks it
     assert bound <= min(totals.values()), totals
     # Sleator & Tarjan's bound for move-to-front, against a lower bound on OPT
     assert totals["mtf"] <= 2 * bound
-
-
-@given(w=skewed_workloads(max_l=40, max_n=80))
-def test_pair_opt_bound_is_below_every_partial_total(w):
-    _assert_pair_opt_bound_holds(w)
 
 
 @given(w=workloads(max_l=5, max_n=12))
@@ -305,11 +294,6 @@ def test_pair_opt_bound_on_short_sequences():
     w = _workload(("A", "B"), ("B", "A", "B", "A"))
     assert pair_opt_bound(w.list.elements, w.requests.requests) == 2
     assert run_classic("mtf", PARTIAL, w)[0].total == 4
-
-
-def test_wide_pair_opt_bound_holds():
-    # l=1000, where no OPT check reaches
-    _assert_pair_opt_bound_holds(generate(spec_from_dist_token("uniform", 1000, 2000, 7), 0))
 
 
 @pytest.mark.parametrize("algorithm", CLASSIC_ALGORITHMS)
@@ -350,6 +334,7 @@ _WIDTHS = (classic.SCAN_MAX, classic.SCAN_MAX + 1, classic.FC_SCAN_MAX, classic.
 
 
 @pytest.mark.parametrize("algorithm", sorted(_CUTOFFS))
+@settings(max_examples=25)
 @given(data=st.data())
 def test_scan_cutoff_both_sides_match_reference(algorithm, data):
     # Lists of exactly the cutoff are scanned; one element more and every

@@ -71,7 +71,6 @@ def test_gen_names_a_negative_buffer(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("algorithm, dist, list_size, mib", [
     # Short lists read the step table too, and their flag windows are
     # scanned, so they build no occurrence lists.
-    pytest.param("amr", "uniform", 10, 3, id="amr"),
     pytest.param("amr", "zipf:1.2", 10, 3, id="amr-zipf-l10"),
     pytest.param("mtf", "uniform", 10, 3, id="mtf"),
     # Windows up to 100 long read the step table and bisect the residents'
@@ -82,9 +81,9 @@ def test_gen_names_a_negative_buffer(tmp_path, monkeypatch, capsys):
     pytest.param("amr", "zipf:1.2", 100, 6, id="amr-zipf-l100"),
 ])
 def test_run_trace_streams_its_steps(algorithm, dist, list_size, mib, tmp_path, capsys):
-    # Holding all 5*10^4 events of the uniform l=10 file at once peaks at
-    # about 11 MiB for amr and 9.5 MiB for mtf; streamed, the run holds the
-    # workload, its indices and about one event.
+    # Holding all 5*10^4 trace lines of an l=10 file at once peaks at about
+    # 10 MiB for amr (zipf:1.2) and 8.3 MiB for mtf (uniform); streamed, the
+    # run holds the workload, its indices and about one event.
     wl, trace = tmp_path / "long.workload", tmp_path / "long.trace"
     assert main(["gen", "--dist", dist, "--list-size", str(list_size), "--length", "50000",
                  "--buffer", "8", "--seed", "3", "-o", str(wl)]) == 0
@@ -105,6 +104,7 @@ TRACE_KEYS = (
 )
 
 
+@settings(max_examples=100)
 @given(w=workloads())
 def test_every_engine_steps_through_one_record(w):
     for algorithm in ALGORITHM_TOKENS:  # the classical ones under full
@@ -134,6 +134,7 @@ CLASSIC_PAIRS.append(("static", CENTRALIZED))
 # n = 0, and n < l
 @example(w=make_workload("ABC", "", 0))
 @example(w=make_workload("ABCD", "DB", 0))
+@settings(max_examples=100)
 @given(w=workloads(max_l=40, max_n=60))
 def test_classic_trace_lines_are_the_formatted_events(w):
     # A classical trace is formatted from the run's columns, not from its
@@ -417,18 +418,22 @@ def child_env(buffered):
     return env
 
 
+def assert_stdout_is_unwritable(argv, buffered, cwd=None):
+    """A child given a full stdout exits 2 with one error: line."""
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, *argv], stdout=full, stderr=subprocess.PIPE,
+                              text=True, cwd=cwd, env=child_env(buffered), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize("entry, buffered", UNWRITABLE_STDOUT,
                          ids=[f"{e}-{'buffered' if b else 'unbuffered'}" for e, b in UNWRITABLE_STDOUT])
 def test_unwritable_stdout_is_one_error_line_and_exit_two(entry, buffered, demo_path):
     # Buffered, the write fails in the final flush; unbuffered, in the command.
-    argv = [arg.format(demo=demo_path) for arg in ENTRY_POINTS[entry]]
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, *argv], stdout=full, stderr=subprocess.PIPE,
-                              text=True, env=child_env(buffered), timeout=60)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: cannot write stdout: ")
-    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert_stdout_is_unwritable([arg.format(demo=demo_path) for arg in ENTRY_POINTS[entry]], buffered)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -439,12 +444,7 @@ def test_unwritable_stdout_leaves_no_output_file(algorithm, demo_path, tmp_path)
     out_dir.mkdir()
     argv = ["-m", "listlab.cli", "run", "--workload", demo_path, "--algorithm", algorithm,
             "--trace", "t", "--csv", "c"]
-    with open("/dev/full", "w") as full:
-        proc = subprocess.run([sys.executable, *argv], stdout=full, stderr=subprocess.PIPE,
-                              text=True, cwd=out_dir, env=child_env(True), timeout=60)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: cannot write stdout: ")
-    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+    assert_stdout_is_unwritable(argv, True, out_dir)
     assert list(out_dir.iterdir()) == []
 
 

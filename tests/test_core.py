@@ -1,6 +1,5 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
+from hypothesis import given, strategies as st
 
 from listlab import core
 from listlab.amr import serve_amr

@@ -165,26 +165,14 @@ def test_zipf_front_rank_dominates_back_rank():
 
 
 def test_generate_rejects_bad_specs():
-    with pytest.raises(InvalidSpec):
-        generate(GeneratorSpec("uniform", list_size=0, length=5))
-    with pytest.raises(InvalidSpec):
-        generate(GeneratorSpec("uniform", list_size=3, length=None))
-    with pytest.raises(InvalidSpec):
-        generate(GeneratorSpec("uniform", list_size=3, length=-1))
-    with pytest.raises(InvalidSpec):
-        generate(GeneratorSpec("zipf", list_size=3, length=5, zipf_skew=0.0))
-    with pytest.raises(InvalidSpec):
-        generate(GeneratorSpec("zipf", list_size=3, length=5, zipf_skew=None))
-    with pytest.raises(InvalidSpec):
-        generate(GeneratorSpec("zipf", list_size=3, length=5, zipf_skew=float("inf")))
-    with pytest.raises(InvalidSpec):
-        generate(GeneratorSpec("burst", list_size=3, length=5, run_length=0))
-    with pytest.raises(InvalidSpec):
-        generate(GeneratorSpec("bogus", list_size=3, length=5))
-    with pytest.raises(InvalidSpec):
-        generate(GeneratorSpec("uniform", list_size=3, length=5, seed=-1))
-    with pytest.raises(InvalidSpec):
-        generate(GeneratorSpec("uniform", list_size=3, length=5, seed=2**64))
+    for dist, l, n, extra in [
+        ("uniform", 0, 5, {}), ("uniform", 3, None, {}), ("uniform", 3, -1, {}),
+        ("zipf", 3, 5, {"zipf_skew": 0.0}), ("zipf", 3, 5, {"zipf_skew": None}),
+        ("zipf", 3, 5, {"zipf_skew": float("inf")}), ("burst", 3, 5, {"run_length": 0}),
+        ("bogus", 3, 5, {}), ("uniform", 3, 5, {"seed": -1}), ("uniform", 3, 5, {"seed": 2**64}),
+    ]:
+        with pytest.raises(InvalidSpec):
+            generate(GeneratorSpec(dist, list_size=l, length=n, **extra))
     # the buffer capacity is a workload rule, which Workload checks
     with pytest.raises(InvalidWorkload, match="^negative buffer capacity -1$"):
         generate(GeneratorSpec("uniform", list_size=3, length=5), buffer_capacity=-1)
